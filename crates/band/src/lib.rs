@@ -14,7 +14,8 @@
 //!   into one rank-`nb` symmetric syr2k per block.
 //! * [`formw`] — the paper's Algorithm 2: recursive merge of per-block WY
 //!   factors for the eigenvector back-transformation.
-//! * [`bulge`] — band → tridiagonal bulge chasing (stage 2).
+//! * [`bulge_packed`] — band → tridiagonal bulge chasing (stage 2) on
+//!   packed band storage; [`bulge`] is its entry point for dense input.
 //! * [`trace_model`] — dry-run GEMM/panel shape traces of both SBR variants
 //!   at arbitrary n, validated call-for-call against the real
 //!   implementations; these drive the performance-model reproduction of the

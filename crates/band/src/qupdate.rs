@@ -20,43 +20,95 @@
 //! applying each reflector immediately during the chase — for any row
 //! partition and any thread count.
 
+use tcevd_factor::householder::apply_reflector_right;
 use tcevd_matrix::scalar::Scalar;
 use tcevd_matrix::{Mat, MatMut};
 
 /// One recorded chase reflector awaiting batched application to Q.
-pub(crate) struct PendingReflector<T> {
+struct PendingReflector<T> {
     /// First column of the reflector's span in Q.
-    pub s: usize,
-    pub tau: T,
+    s: usize,
+    tau: T,
     /// Reflector vector (`v[0] == 1`).
-    pub v: Vec<T>,
+    v: Vec<T>,
 }
 
 /// Rows per parallel task when batch-applying recorded reflectors to Q.
 /// Fixed — never derived from the thread count — so the partition is the
 /// same at every pool size; the arithmetic is row-local anyway, so any
 /// partition yields identical bits.
-pub(crate) const Q_ROWS_PER_TASK: usize = 128;
+const Q_ROWS_PER_TASK: usize = 128;
 
 /// Recorded reflectors accumulate across sweeps until the batch reaches
 /// this size, then flush in one parallel pass. Large enough that each
 /// flush carries tens of megaflops (amortizing the scoped thread spawns),
 /// small enough that the pending buffer stays a few kilobytes.
-pub(crate) const Q_FLUSH_REFLECTORS: usize = 192;
+const Q_FLUSH_REFLECTORS: usize = 192;
 
 /// Whether recording-and-batching pays off for an n×n Q on the current
 /// pool. Below the cutoff (or on a single-thread pool) immediate
 /// application is faster; both paths produce identical bits, so this
 /// gate never affects results.
-pub(crate) fn batching_pays_off(n: usize) -> bool {
+fn batching_pays_off(n: usize) -> bool {
     rayon::current_num_threads() > 1 && n >= 2 * Q_ROWS_PER_TASK
+}
+
+/// Accumulates a chase's reflectors into Q: immediately on one thread or
+/// below the [`batching_pays_off`] cutoff, otherwise recorded and flushed
+/// in batches through [`apply_pending_to_q`]. Both paths produce identical
+/// bits, so the gate never affects results.
+pub(crate) struct QAccumulator<'q, T> {
+    q: &'q mut Mat<T>,
+    batched: bool,
+    pending: Vec<PendingReflector<T>>,
+}
+
+impl<'q, T: Scalar> QAccumulator<'q, T> {
+    pub(crate) fn new(q: &'q mut Mat<T>) -> Self {
+        let batched = batching_pays_off(q.rows());
+        QAccumulator {
+            q,
+            batched,
+            pending: Vec::new(),
+        }
+    }
+
+    /// `Q ← Q·H` for `H = I − τ·v·vᵀ` acting on columns `[s, s + v.len())`.
+    pub(crate) fn push(&mut self, s: usize, tau: T, v: &[T]) {
+        if self.batched {
+            self.pending.push(PendingReflector {
+                s,
+                tau,
+                v: v.to_vec(),
+            });
+        } else {
+            let n = self.q.rows();
+            apply_reflector_right(tau, v, self.q.view_mut(0, s, n, v.len()));
+        }
+    }
+
+    /// Called once per outer chase iteration. Reflectors only ever append
+    /// to Q's product, so batches can span sweeps; flush once enough work
+    /// has accumulated to amortize the fan-out (order is preserved, bits
+    /// unchanged).
+    pub(crate) fn end_sweep(&mut self) {
+        if self.pending.len() >= Q_FLUSH_REFLECTORS {
+            self.finish();
+        }
+    }
+
+    /// Apply every reflector still pending.
+    pub(crate) fn finish(&mut self) {
+        apply_pending_to_q(self.q, &self.pending);
+        self.pending.clear();
+    }
 }
 
 /// Apply a batch of recorded reflectors to `q` in recorded order, fanning
 /// disjoint row blocks of Q across the thread pool. The batch may span
 /// several chase sweeps, so the touched column range is the union
 /// `[min s, max s + v.len())` over the batch.
-pub(crate) fn apply_pending_to_q<T: Scalar>(q: &mut Mat<T>, pending: &[PendingReflector<T>]) {
+fn apply_pending_to_q<T: Scalar>(q: &mut Mat<T>, pending: &[PendingReflector<T>]) {
     if pending.is_empty() {
         return;
     }
@@ -122,7 +174,6 @@ pub(crate) fn apply_pending_to_q<T: Scalar>(q: &mut Mat<T>, pending: &[PendingRe
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use tcevd_factor::householder::apply_reflector_right;
 
     fn rand_mat(m: usize, n: usize, seed: u64) -> Mat<f64> {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(3);

@@ -32,12 +32,28 @@ impl<T: Scalar> SymBand<T> {
     /// outside the band are ignored — callers should have verified the
     /// band structure, e.g. via [`crate::common::max_outside_band`]).
     pub fn from_dense(a: &Mat<T>, b: usize) -> Self {
-        let n = a.rows();
         assert!(a.is_square());
-        let mut s = Self::zeros(n, b);
+        Self::pack_with_room(a.rows(), b, b, |i, j| a[(i, j)])
+    }
+
+    /// Pack the diagonals `0..=b` of a symmetric n×n matrix, read through
+    /// `lower(i, j)` with `i ≥ j`, into storage of bandwidth `room`. The
+    /// diagonals `b+1..=room` start at zero — the space a bulge chase fills
+    /// in — so a chase packs its input once, directly at its working width.
+    pub(crate) fn pack_with_room(
+        n: usize,
+        b: usize,
+        room: usize,
+        lower: impl Fn(usize, usize) -> T,
+    ) -> Self {
+        assert!(
+            b.min(n.saturating_sub(1)) <= room,
+            "bandwidth {b} does not fit storage of bandwidth {room}"
+        );
+        let mut s = Self::zeros(n, room);
         for j in 0..n {
             for d in 0..=b.min(n - 1 - j) {
-                s.ab[d + j * (b + 1)] = a[(j + d, j)];
+                s.ab[d + j * (room + 1)] = lower(j + d, j);
             }
         }
         s
@@ -75,6 +91,21 @@ impl<T: Scalar> SymBand<T> {
         } else {
             self.ab[d + lo * (self.b + 1)]
         }
+    }
+
+    /// Column `j` of the lower band: `col(j)[d] = A[j+d, j]` for
+    /// `d ≤ min(b, n−1−j)`.
+    #[inline]
+    pub(crate) fn col(&self, j: usize) -> &[T] {
+        let start = j * (self.b + 1);
+        &self.ab[start..start + (self.b + 1).min(self.n - j)]
+    }
+
+    /// Mutable [`col`](Self::col).
+    #[inline]
+    pub(crate) fn col_mut(&mut self, j: usize) -> &mut [T] {
+        let start = j * (self.b + 1);
+        &mut self.ab[start..start + (self.b + 1).min(self.n - j)]
     }
 
     /// Set entry (i, j) (and implicitly (j, i)); panics outside the band.
@@ -165,6 +196,28 @@ mod tests {
     fn set_outside_band_panics() {
         let mut s = SymBand::<f64>::zeros(5, 1);
         s.set(4, 0, 1.0);
+    }
+
+    #[test]
+    fn packing_with_room_zero_fills_and_exposes_columns() {
+        let a = sample(7, 2);
+        let s = SymBand::pack_with_room(7, 2, 4, |i, j| a[(i, j)]);
+        assert_eq!(s.bandwidth(), 4);
+        assert_eq!(s.to_dense().max_abs_diff(&a), 0.0);
+        // col(j) holds rows j..=j+4, cut at the matrix edge
+        assert_eq!(s.col(1), &[a[(1, 1)], a[(2, 1)], a[(3, 1)], 0.0, 0.0]);
+        assert_eq!(s.col(5), &[a[(5, 5)], a[(6, 5)]]);
+        let mut s = s;
+        s.col_mut(2)[3] = 9.0;
+        assert_eq!(s.get(5, 2), 9.0);
+        assert_eq!(s.get(2, 5), 9.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn packing_into_too_little_room_panics() {
+        let a = sample(6, 3);
+        let _ = SymBand::pack_with_room(6, 3, 2, |i, j| a[(i, j)]);
     }
 
     #[test]

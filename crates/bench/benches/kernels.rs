@@ -215,7 +215,7 @@ fn bench_extensions(c: &mut Criterion) {
         })
     });
 
-    // packed vs dense bulge chasing
+    // bulge chasing
     let nb = 256;
     let band = {
         let a: Mat<f32> = generate(nb, MatrixType::Normal, 9).cast();
@@ -233,13 +233,13 @@ fn bench_extensions(c: &mut Criterion) {
         .expect("sbr reduction")
         .band
     };
-    let packed = tcevd_band::SymBand::from_dense(&band, 16);
-    g.bench_function("bulge_dense_256_b16", |bch| {
-        bch.iter(|| black_box(bulge_chase(&band, 16, false)))
-    });
-    g.bench_function("bulge_packed_256_b16", |bch| {
-        bch.iter(|| black_box(tcevd_band::bulge_chase_packed(&packed, false)))
-    });
+    // The packed chase alone (the values path) and with Q₂ accumulation
+    // (the vectors path).
+    for (name, accumulate_q) in [("bulge_256_b16", false), ("bulge_q_256_b16", true)] {
+        g.bench_function(name, |bch| {
+            bch.iter(|| black_box(bulge_chase(&band, 16, accumulate_q)))
+        });
+    }
 
     // Jacobi vs the two-stage pipeline at equal size
     let a: Mat<f32> = generate(128, MatrixType::Normal, 10).cast();

@@ -41,8 +41,8 @@ use crate::ql::{
 };
 use crate::tridiag::SymTridiag;
 use tcevd_band::{
-    bulge_chase_packed_with, bulge_chase_with, form_wy, sbr_dbr, sbr_wy, sbr_zy, DbrOptions,
-    PanelKind, SbrOptions, WyOptions,
+    bulge_chase_with, form_wy, sbr_dbr, sbr_wy, sbr_zy, DbrOptions, PanelKind, SbrOptions,
+    WyOptions,
 };
 use tcevd_matrix::{Mat, Op};
 use tcevd_tensorcore::GemmContext;
@@ -573,14 +573,12 @@ fn run_pipeline(
     ensure_finite(band.as_slice(), EvdStage::Sbr)?;
     check_cancelled(ctx, EvdStage::Sbr)?;
 
-    // Stage 2: bulge chasing to tridiagonal. The eigenvalues-only path uses
-    // packed band storage (O(n·b) working set); the eigenvector path keeps
-    // the dense chase, whose Q accumulation it needs anyway.
+    // Stage 2: bulge chasing to tridiagonal, on packed band storage (O(n·b)
+    // working set). Only the eigenvector path accumulates the dense Q₂.
     if !opts.vectors {
         let t = {
             let _stage = tcevd_prof::StageScope::begin(sink, "bulge_chase");
-            let packed = tcevd_band::SymBand::from_dense(&band, b);
-            let chase = bulge_chase_packed_with(&packed, false, sink);
+            let chase = bulge_chase_with(&band, b, false, sink);
             SymTridiag::new(chase.diag, chase.offdiag)
         };
         ensure_finite(&t.d, EvdStage::BulgeChase)?;

@@ -269,11 +269,18 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
 
-    // Pool configuration is process-global; serialize tests that touch it.
-    static CONFIG_LOCK: Mutex<()> = Mutex::new(());
+    // Pool configuration and the `stats()` counters are process-global.
+    // Every test that forks, configures the pool or reads `stats()` holds
+    // this lock, so no concurrently running test can add joins between a
+    // `before` snapshot and its `since`, and the counts stay exact.
+    static POOL_LOCK: Mutex<()> = Mutex::new(());
+
+    fn serialized() -> std::sync::MutexGuard<'static, ()> {
+        POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn with_threads<R>(t: usize, f: impl FnOnce() -> R) -> R {
-        let _g = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = serialized();
         configure(t);
         let r = f();
         configure(0);
@@ -282,6 +289,7 @@ mod tests {
 
     #[test]
     fn join_returns_both_results_in_order() {
+        let _g = serialized();
         let mut log = Vec::new();
         let (a, b) = super::join(|| 1 + 1, || 2 + 2);
         log.push(a);
@@ -368,7 +376,7 @@ mod tests {
 
     #[test]
     fn configure_zero_restores_auto_sizing() {
-        let _g = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = serialized();
         configure(7);
         assert_eq!(current_num_threads(), 7);
         configure(0);
