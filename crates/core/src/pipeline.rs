@@ -10,6 +10,17 @@
 //! scalar CPU arithmetic, exactly mirroring the paper's split where stage 2
 //! and divide-&-conquer are delegated to MAGMA on the host.
 //!
+//! [`sym_eig`], [`sym_eigenvalues`] and [`sym_eig_selected`] run one
+//! private driver that differs only in which eigenvector columns it
+//! returns: none, all `n`, or those of an [`EigRange`]. Every SBR variant
+//! serves every selection, since `Q₁` — FormW factors or ZY's dense `Q₁` —
+//! multiplies `n×k` columns as readily as `n×n`. Each stage runs under one
+//! seam that opens its [`StageScope`] and then gates the boundary:
+//! sanitizer, finiteness, cancellation. Each buffer is dropped after its
+//! last reader: the dense band after the chase, `Q₂` and `Z` after the
+//! `Q₂·Z` product. FormW merges the WY levels only after that product, so
+//! its GEMMs belong to the `back_transform` stage.
+//!
 //! # Robustness
 //!
 //! Every driver returns [`EvdError`] instead of panicking, and an
@@ -27,13 +38,8 @@
 //! Rungs 1–2 live in `tcevd-band`'s panel factorization; rungs 3–6 here.
 //! Each escalation is recorded in the context's [`TraceSink`], so a
 //! recovered run is observable after the fact.
-//!
-//! Beyond the failure ladder, one *capability* substitution is traced the
-//! same way: [`sym_eig_selected`] always runs stage 1 through the WY form
-//! (only FormW factors support the thin per-column back-transform), so a
-//! caller requesting [`SbrVariant::Zy`] gets WY instead — recorded as
-//! `recovery.zy_selected_wy_substitution` rather than silently ignored.
 
+use crate::bisect::EigRange;
 use crate::dc::tridiag_eig_dc_with;
 use crate::error::{EvdError, EvdStage};
 use crate::ql::{
@@ -41,10 +47,11 @@ use crate::ql::{
 };
 use crate::tridiag::SymTridiag;
 use tcevd_band::{
-    bulge_chase_with, form_wy, sbr_dbr, sbr_wy, sbr_zy, DbrOptions, PanelKind, SbrOptions,
+    bulge_chase_with, form_wy, sbr_dbr, sbr_wy, sbr_zy, DbrOptions, LevelWy, PanelKind, SbrOptions,
     WyOptions,
 };
 use tcevd_matrix::{Mat, Op};
+use tcevd_prof::StageScope;
 use tcevd_tensorcore::GemmContext;
 use tcevd_trace::{span, TraceSink};
 
@@ -205,52 +212,31 @@ pub fn sym_eig(
     opts: &SymEigOptions,
     ctx: &GemmContext,
 ) -> Result<SymEigResult, EvdError> {
-    let n = a.rows();
-    if !a.is_square() {
-        return Err(EvdError::Shape {
-            what: "sym_eig input (must be square)",
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    // Fail fast on NaN/Inf: every downstream iteration would otherwise spin
-    // to its budget and report a misleading non-convergence.
-    ensure_finite(a.as_slice(), EvdStage::Input)?;
-    if let Some(r) = trivial_sym_eig(a, opts.vectors) {
-        return Ok(r);
-    }
-    rayon::configure(opts.threads);
-    let b = clamp_bandwidth(opts.bandwidth, n);
-
-    // Tracing: `opts.trace` routes pipeline stage spans into the context's
-    // sink; the SBR/GEMM layers below always use the context sink directly.
-    let sink = if opts.trace {
-        ctx.sink().clone()
+    let cols = if opts.vectors {
+        Cols::All
     } else {
-        TraceSink::disabled()
+        Cols::Values
     };
-    let _par = ParCounters::new(&sink);
-    let _root_span = span!(sink, "sym_eig", n, b);
-
-    let result = run_pipeline(a, b, opts, opts.solver, ctx, &sink)?;
+    let result = run_pipeline(a, cols, opts, ctx)?;
 
     // Rung 6: opt-in post-solve verification with one cross-solver re-solve.
+    // The closed form for n ≤ 2 runs no solver and is not verified.
     let Some(tol) = opts.recovery.verify_tol else {
         return Ok(result);
     };
-    let Some(x) = result.vectors.as_ref() else {
+    let Some(x) = result.vectors.as_ref().filter(|_| a.rows() > 2) else {
         return Ok(result);
     };
     let worst = verify_worst(a, &result.values, x);
     if worst <= tol {
         return Ok(result);
     }
-    sink.add("recovery.residual_resolve", 1);
-    let alt = match opts.solver {
+    pipeline_sink(opts, ctx).add("recovery.residual_resolve", 1);
+    let solver = match opts.solver {
         TridiagSolver::DivideConquer => TridiagSolver::Ql,
         TridiagSolver::Ql => TridiagSolver::DivideConquer,
     };
-    let retry = run_pipeline(a, b, opts, alt, ctx, &sink)?;
+    let retry = run_pipeline(a, cols, &SymEigOptions { solver, ..*opts }, ctx)?;
     let worst2 = match retry.vectors.as_ref() {
         Some(x2) => verify_worst(a, &retry.values, x2),
         None => f32::INFINITY,
@@ -278,17 +264,13 @@ fn verify_worst(a: &Mat<f32>, values: &[f32], x: &Mat<f32>) -> f32 {
     resid.max(orth)
 }
 
-fn ensure_finite(data: &[f32], stage: EvdStage) -> Result<(), EvdError> {
-    if data.iter().any(|v| !v.is_finite()) {
-        Err(EvdError::NonFinite { stage })
-    } else {
-        Ok(())
-    }
+fn all_finite(data: &[f32]) -> bool {
+    data.iter().all(|v| v.is_finite())
 }
 
 /// Clamp the configured SBR bandwidth into the valid range `1 ..= n − 1`.
-/// Only meaningful for `n ≥ 3` — both entry points short-circuit `n ≤ 2`
-/// to [`trivial_sym_eig`] first, precisely because at `n = 1` the old
+/// Only meaningful for `n ≥ 3` — the driver short-circuits `n ≤ 2` to
+/// [`trivial_sym_eig`] first, precisely because at `n = 1` the old
 /// inline `min(n−1).max(1)` produced the out-of-range `b = 1 > n − 1`.
 fn clamp_bandwidth(requested: usize, n: usize) -> usize {
     requested.min(n.saturating_sub(1)).max(1)
@@ -321,101 +303,62 @@ fn validate_dbr_block(block: usize, b: usize, n: usize) -> Result<usize, EvdErro
 /// pipeline (whose bandwidth parameter has no valid value below `n = 3`
 /// other than the forced `b = 1`, and none at all for `n ≤ 1`). Exact in
 /// f32 up to the 2×2 rotation arithmetic; eigenvalues ascend and the
-/// eigenvector columns are exactly orthonormal by construction. Returns
-/// `None` for `n ≥ 3`.
-fn trivial_sym_eig(a: &Mat<f32>, want_vectors: bool) -> Option<SymEigResult> {
+/// eigenvector columns are exactly orthonormal by construction. The kept
+/// columns mirror the bisection semantics exactly: `Index` keeps positions
+/// `[lo, hi)` of the ascending order (out-of-range indices clamp away),
+/// `Value` keeps eigenvalues in the half-open interval `(lo, hi]`.
+fn trivial_sym_eig(a: &Mat<f32>, cols: Cols) -> SymEigResult {
+    let n = a.rows();
     let ar = a.as_ref();
-    match a.rows() {
-        0 => Some(SymEigResult {
-            values: Vec::new(),
-            vectors: None,
-        }),
-        1 => Some(SymEigResult {
-            values: vec![ar.get(0, 0)],
-            vectors: want_vectors.then(|| Mat::identity(1, 1)),
-        }),
-        2 => {
+    let (values, x) = match n {
+        0 => (Vec::new(), Mat::zeros(0, 0)),
+        1 => (vec![ar.get(0, 0)], Mat::identity(1, 1)),
+        _ => {
             let (p, q, r) = (ar.get(0, 0), ar.get(1, 0), ar.get(1, 1));
             let mean = 0.5 * (p + r);
             let radius = (0.5 * (p - r)).hypot(q);
             let (lo, hi) = (mean - radius, mean + radius);
-            let vectors = want_vectors.then(|| {
-                let mut x = Mat::<f32>::zeros(2, 2);
-                let mut xm = x.as_mut();
-                if q == 0.0 {
-                    // Already diagonal: unit vectors, ordered ascending.
-                    if p <= r {
-                        xm.set(0, 0, 1.0);
-                        xm.set(1, 1, 1.0);
-                    } else {
-                        xm.set(1, 0, 1.0);
-                        xm.set(0, 1, 1.0);
-                    }
+            let mut x = Mat::<f32>::zeros(2, 2);
+            let mut xm = x.as_mut();
+            if q == 0.0 {
+                // Already diagonal: unit vectors, ordered ascending.
+                if p <= r {
+                    xm.set(0, 0, 1.0);
+                    xm.set(1, 1, 1.0);
                 } else {
-                    // (q, hi − p) spans the `hi` eigenspace; its norm is
-                    // ≥ |q| > 0, and the `lo` vector is its exact
-                    // orthogonal complement.
-                    let norm = q.hypot(hi - p);
-                    let (c, s) = (q / norm, (hi - p) / norm);
-                    xm.set(0, 0, -s);
-                    xm.set(1, 0, c);
-                    xm.set(0, 1, c);
-                    xm.set(1, 1, s);
+                    xm.set(1, 0, 1.0);
+                    xm.set(0, 1, 1.0);
                 }
-                x
-            });
-            Some(SymEigResult {
-                values: vec![lo, hi],
-                vectors,
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Filter a trivial (`n ≤ 2`) full solve down to the requested range,
-/// mirroring the bisection semantics exactly: `Index` keeps positions
-/// `[lo, hi)` of the ascending order (out-of-range indices clamp away),
-/// `Value` keeps eigenvalues in the half-open interval `(lo, hi]`.
-fn select_trivial(
-    full: SymEigResult,
-    range: crate::bisect::EigRange<f32>,
-    n: usize,
-) -> SymEigResult {
-    let keep: Vec<usize> = match range {
-        crate::bisect::EigRange::Index { lo, hi } => full
-            .values
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i >= lo && *i < hi)
-            .map(|(i, _)| i)
-            .collect(),
-        crate::bisect::EigRange::Value { lo, hi } => full
-            .values
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v > lo && **v <= hi)
-            .map(|(i, _)| i)
-            .collect(),
-    };
-    let values: Vec<f32> = keep
-        .iter()
-        .filter_map(|&i| full.values.get(i).copied())
-        .collect();
-    let mut x = Mat::<f32>::zeros(n, keep.len());
-    if let Some(xf) = &full.vectors {
-        let xr = xf.as_ref();
-        let mut xm = x.as_mut();
-        for (jout, &jin) in keep.iter().enumerate() {
-            for i in 0..n {
-                xm.set(i, jout, xr.get(i, jin));
+            } else {
+                // (q, hi − p) spans the `hi` eigenspace; its norm is
+                // ≥ |q| > 0, and the `lo` vector is its exact
+                // orthogonal complement.
+                let norm = q.hypot(hi - p);
+                let (c, s) = (q / norm, (hi - p) / norm);
+                xm.set(0, 0, -s);
+                xm.set(1, 0, c);
+                xm.set(0, 1, c);
+                xm.set(1, 1, s);
             }
+            (vec![lo, hi], x)
         }
-    }
-    SymEigResult {
-        values,
-        vectors: Some(x),
-    }
+    };
+    let (keep, values): (Vec<usize>, Vec<f32>) = values
+        .into_iter()
+        .enumerate()
+        .filter(|&(i, v)| match cols {
+            Cols::Range(EigRange::Index { lo, hi }) => lo <= i && i < hi,
+            Cols::Range(EigRange::Value { lo, hi }) => v > lo && v <= hi,
+            Cols::Values | Cols::All => true,
+        })
+        .unzip();
+    let xr = x.as_ref();
+    let vectors = (!matches!(cols, Cols::Values)).then(|| {
+        Mat::from_fn(n, keep.len(), |i, j| {
+            keep.get(j).map_or(0.0, |&c| xr.get(i, c))
+        })
+    });
+    SymEigResult { values, vectors }
 }
 
 /// RAII guard exporting the thread pool's scheduling activity over a
@@ -450,7 +393,7 @@ impl Drop for ParCounters {
 
 /// Surface the runtime sanitizer's first recorded GEMM violation (feature
 /// `sanitize`) as a typed, label-attributed error at a stage boundary.
-/// Checked *before* the stage's own `ensure_finite` scan so the report that
+/// Checked *before* the stage's finiteness gate so the report that
 /// names the offending GEMM wins over the generic stage-tagged one; drains
 /// the context's report slot so a recovery re-run starts clean.
 #[cfg(feature = "sanitize")]
@@ -484,18 +427,67 @@ fn check_cancelled(ctx: &GemmContext, stage: EvdStage) -> Result<(), EvdError> {
     Ok(())
 }
 
-/// One full pass of the two-stage pipeline with an explicit tridiagonal
-/// solver choice (so the verification rung can re-run with the other one).
+/// Which eigenvector columns one pipeline run returns.
+#[derive(Copy, Clone)]
+enum Cols {
+    /// Eigenvalues only: the chase skips `Q₂` and nothing is
+    /// back-transformed.
+    Values,
+    /// Every eigenpair, from the [`TridiagSolver`] ladder.
+    All,
+    /// The eigenpairs in a range, by bisection and inverse iteration.
+    Range(EigRange<f32>),
+}
+
+/// One pass of the two-stage pipeline, returning the columns `cols`
+/// selects.
 fn run_pipeline(
     a: &Mat<f32>,
-    b: usize,
+    cols: Cols,
     opts: &SymEigOptions,
-    solver: TridiagSolver,
     ctx: &GemmContext,
-    sink: &TraceSink,
 ) -> Result<SymEigResult, EvdError> {
     let n = a.rows();
+    let (entry, what) = match cols {
+        Cols::Range(_) => (
+            "sym_eig_selected",
+            "sym_eig_selected input (must be square)",
+        ),
+        _ => ("sym_eig", "sym_eig input (must be square)"),
+    };
+    if !a.is_square() {
+        return Err(EvdError::Shape {
+            what,
+            rows: a.rows(),
+            cols: a.cols(),
+        });
+    }
+    // `sturm_count(NaN)` is 0, so a NaN bound would silently select
+    // everything up to the other bound.
+    if let Cols::Range(EigRange::Value { lo, hi }) = cols {
+        if lo.is_nan() || hi.is_nan() {
+            return Err(EvdError::InvalidInput {
+                detail: format!("eigenvalue range bound is NaN (lo = {lo}, hi = {hi})"),
+            });
+        }
+    }
+    // Fail fast on NaN/Inf: every downstream iteration would otherwise spin
+    // to its budget and report a misleading non-convergence.
+    if !all_finite(a.as_slice()) {
+        return Err(EvdError::NonFinite {
+            stage: EvdStage::Input,
+        });
+    }
+    if n <= 2 {
+        return Ok(trivial_sym_eig(a, cols));
+    }
+    rayon::configure(opts.threads);
+    let b = clamp_bandwidth(opts.bandwidth, n);
+    let sink = pipeline_sink(opts, ctx);
+    let _par = ParCounters::new(&sink);
+    let _root_span = span!(sink, entry, n, b);
     check_cancelled(ctx, EvdStage::Input)?;
+
     // Resolve the SBR configuration up front: the DBR block size is
     // validated/clamped here once so the byte estimate, stage 1, and a
     // verification re-run all see the same effective `nb`.
@@ -514,155 +506,250 @@ fn run_pipeline(
         };
         sink.add("sbr_bytes_est", est);
     }
+    let vectors = !matches!(cols, Cols::Values);
 
-    // Stage 1: successive band reduction.
-    let (band, q1_wy, q1_dense) = {
-        let _stage = tcevd_prof::StageScope::begin(sink, "sbr");
-        match sbr {
-            SbrVariant::Wy { block } => {
-                let r = sbr_wy(
-                    a,
-                    &WyOptions {
-                        bandwidth: b,
-                        block,
-                        panel: opts.panel,
-                        accumulate_q: false,
-                    },
-                    ctx,
-                )?;
-                // For eigenvectors, merge the per-level WY factors (Algorithm 2)
-                // rather than accumulating a dense Q during the reduction.
-                let wy = (opts.vectors && !r.levels.is_empty()).then(|| form_wy(&r.levels, n, ctx));
-                (r.band, wy, None)
-            }
-            SbrVariant::Zy => {
-                let r = sbr_zy(
-                    a,
-                    &SbrOptions {
-                        bandwidth: b,
-                        panel: opts.panel,
-                        accumulate_q: opts.vectors,
-                    },
-                    ctx,
-                )?;
-                (r.band, None, r.q)
-            }
-            SbrVariant::Dbr { block } => {
-                let r = sbr_dbr(
-                    a,
-                    &DbrOptions {
-                        bandwidth: b,
-                        block,
-                        panel: opts.panel,
-                        accumulate_q: false,
-                    },
-                    ctx,
-                )?;
-                // DBR emits WY-style levels, so the FormW merge serves its
-                // back-transformation unchanged.
-                let wy = (opts.vectors && !r.levels.is_empty()).then(|| form_wy(&r.levels, n, ctx));
-                (r.band, wy, None)
-            }
-        }
-    };
-    // A corrupted GEMM (fp16 overflow to Inf, a poisoned accumulator, …)
-    // surfaces here as a stage-tagged error instead of a downstream
-    // non-convergence mystery. Under the `sanitize` feature the per-GEMM
-    // scan reports first, naming the exact label that produced the value.
-    check_sanitizer(ctx, EvdStage::Sbr)?;
-    ensure_finite(band.as_slice(), EvdStage::Sbr)?;
-    check_cancelled(ctx, EvdStage::Sbr)?;
+    let (band, q1) = stage(
+        ctx,
+        &sink,
+        EvdStage::Sbr,
+        false,
+        || reduce(a, b, sbr, opts.panel, vectors, ctx),
+        |(band, _)| all_finite(band.as_slice()),
+    )?;
 
-    // Stage 2: bulge chasing to tridiagonal, on packed band storage (O(n·b)
-    // working set). Only the eigenvector path accumulates the dense Q₂.
-    if !opts.vectors {
-        let t = {
-            let _stage = tcevd_prof::StageScope::begin(sink, "bulge_chase");
-            let chase = bulge_chase_with(&band, b, false, sink);
-            SymTridiag::new(chase.diag, chase.offdiag)
-        };
-        ensure_finite(&t.d, EvdStage::BulgeChase)?;
-        ensure_finite(&t.e, EvdStage::BulgeChase)?;
-        check_cancelled(ctx, EvdStage::BulgeChase)?;
-        let (values, _) = {
-            let _stage = tcevd_prof::StageScope::begin(sink, "tridiag_solve");
-            solve_tridiag(&t, solver, false, &opts.recovery, sink)?
-        };
+    // Stage 2 runs on packed band storage (O(n·b) working set); only the
+    // vector paths accumulate the dense Q₂.
+    let (t, q2) = stage(
+        ctx,
+        &sink,
+        EvdStage::BulgeChase,
+        false,
+        || {
+            let chase = bulge_chase_with(&band, b, vectors, &sink);
+            Ok((SymTridiag::new(chase.diag, chase.offdiag), chase.q))
+        },
+        |(t, _)| all_finite(&t.d) && all_finite(&t.e),
+    )?;
+    drop(band);
+
+    let (values, z) = stage(
+        ctx,
+        &sink,
+        EvdStage::TridiagSolve,
+        !vectors,
+        || match cols {
+            Cols::Range(range) => crate::inverse_iter::tridiag_eig_selected(&t, range)
+                .map(|(values, z)| (values, Some(z)))
+                .map_err(EvdError::from),
+            _ => solve_tridiag(&t, opts.solver, vectors, &opts.recovery, &sink),
+        },
+        |_| true,
+    )?;
+    if !vectors {
         return Ok(SymEigResult {
             values,
             vectors: None,
         });
     }
-    let (q2, t) = {
-        let _stage = tcevd_prof::StageScope::begin(sink, "bulge_chase");
-        let chase = bulge_chase_with(&band, b, true, sink);
-        let t = SymTridiag::new(chase.diag, chase.offdiag);
-        (chase.q, t)
-    };
-    ensure_finite(&t.d, EvdStage::BulgeChase)?;
-    ensure_finite(&t.e, EvdStage::BulgeChase)?;
-    check_cancelled(ctx, EvdStage::BulgeChase)?;
-
-    let (values, z) = {
-        let _stage = tcevd_prof::StageScope::begin(sink, "tridiag_solve");
-        solve_tridiag(&t, solver, true, &opts.recovery, sink)?
-    };
-    check_cancelled(ctx, EvdStage::TridiagSolve)?;
     let Some(z) = z else {
         return Err(EvdError::Unrecoverable {
             stage: EvdStage::TridiagSolve,
             detail: "tridiagonal solver returned no eigenvectors despite request".to_string(),
         });
     };
-
-    // Back-transformation: X = Q₁·Q₂·Z.
-    let _bt_stage = tcevd_prof::StageScope::begin(sink, "back_transform");
-    let _bt_span = span!(sink, "back_transform", n);
-    let Some(q2) = q2 else {
-        return Err(EvdError::Unrecoverable {
-            stage: EvdStage::BackTransform,
-            detail: "bulge chase did not accumulate Q despite vector request".to_string(),
+    if values.is_empty() {
+        return Ok(SymEigResult {
+            values,
+            vectors: Some(Mat::zeros(n, 0)),
         });
-    };
-    let mut x = Mat::<f32>::zeros(n, n);
-    ctx.gemm(
-        "evd_q2z",
-        1.0,
-        q2.as_ref(),
-        Op::NoTrans,
-        z.as_ref(),
-        Op::NoTrans,
-        0.0,
-        x.as_mut(),
-    );
-    match (q1_wy, q1_dense) {
-        (Some((w, y)), _) => {
-            // X ← (I − W·Yᵀ)·X — the FormW back-transformation (paper §4.4).
-            tcevd_band::apply_q(w.as_ref(), y.as_ref(), &mut x, ctx);
-        }
-        (None, Some(q1)) => {
-            let mut xq = Mat::<f32>::zeros(n, n);
-            ctx.gemm(
-                "evd_q1x",
-                1.0,
-                q1.as_ref(),
-                Op::NoTrans,
-                x.as_ref(),
-                Op::NoTrans,
-                0.0,
-                xq.as_mut(),
-            );
-            x = xq;
-        }
-        (None, None) => {} // n ≤ b+1: SBR was a no-op, Q₁ = I
     }
-    check_sanitizer(ctx, EvdStage::BackTransform)?;
-    ensure_finite(x.as_slice(), EvdStage::BackTransform)?;
 
+    // Back-transformation: X = Q₁·(Q₂·Z), for Z with n or k columns.
+    let x = stage(
+        ctx,
+        &sink,
+        EvdStage::BackTransform,
+        true,
+        || {
+            let _span = span!(sink, "back_transform", n);
+            let Some(q2) = q2 else {
+                return Err(EvdError::Unrecoverable {
+                    stage: EvdStage::BackTransform,
+                    detail: "bulge chase did not accumulate Q despite vector request".to_string(),
+                });
+            };
+            let (q2r, zr) = (q2.as_ref(), z.as_ref());
+            let mut x = Mat::<f32>::zeros(n, z.cols());
+            if let Cols::Range(_) = cols {
+                let out = x.as_mut();
+                ctx.gemm(
+                    "evd_sel_q2z",
+                    1.0,
+                    q2r,
+                    Op::NoTrans,
+                    zr,
+                    Op::NoTrans,
+                    0.0,
+                    out,
+                );
+            } else {
+                ctx.gemm(
+                    "evd_q2z",
+                    1.0,
+                    q2r,
+                    Op::NoTrans,
+                    zr,
+                    Op::NoTrans,
+                    0.0,
+                    x.as_mut(),
+                );
+            }
+            drop((q2, z));
+            Ok(q1.apply(x, ctx))
+        },
+        |x| all_finite(x.as_slice()),
+    )?;
     Ok(SymEigResult {
         values,
         vectors: Some(x),
     })
+}
+
+/// Run pipeline stage `tag` under its [`StageScope`], then gate its
+/// boundary in a fixed order: the sanitizer's first GEMM report, the
+/// finiteness of the output (`finite`), and — unless this is the run's
+/// `last` stage — cancellation.
+fn stage<T>(
+    ctx: &GemmContext,
+    sink: &TraceSink,
+    tag: EvdStage,
+    last: bool,
+    body: impl FnOnce() -> Result<T, EvdError>,
+    finite: impl FnOnce(&T) -> bool,
+) -> Result<T, EvdError> {
+    let name = match tag {
+        EvdStage::Input => "input",
+        EvdStage::Sbr => "sbr",
+        EvdStage::BulgeChase => "bulge_chase",
+        EvdStage::TridiagSolve => "tridiag_solve",
+        EvdStage::BackTransform => "back_transform",
+        EvdStage::ResidualCheck => "residual_check",
+    };
+    let out = {
+        let _scope = StageScope::begin(sink, name);
+        body()?
+    };
+    check_sanitizer(ctx, tag)?;
+    if !finite(&out) {
+        return Err(EvdError::NonFinite { stage: tag });
+    }
+    if !last {
+        check_cancelled(ctx, tag)?;
+    }
+    Ok(out)
+}
+
+/// Stage 1's orthogonal factor `Q₁`, in the form its SBR variant yields.
+enum Q1 {
+    /// Per-level WY factors (WY and DBR), merged by FormW when applied.
+    Levels(Vec<LevelWy>),
+    /// The dense `Q₁` that ZY accumulates during the reduction.
+    Dense(Mat<f32>),
+    /// Nothing to apply: values only, or `n ≤ b + 1` left SBR a no-op.
+    Identity,
+}
+
+impl Q1 {
+    /// `X ← Q₁·X`, for `X` with any number of columns.
+    fn apply(self, mut x: Mat<f32>, ctx: &GemmContext) -> Mat<f32> {
+        match self {
+            Q1::Levels(levels) => {
+                // Merge the levels (paper Algorithm 2), then
+                // X ← (I − W·Yᵀ)·X — the FormW back-transformation (§4.4).
+                let (w, y) = form_wy(&levels, x.rows(), ctx);
+                drop(levels);
+                tcevd_band::apply_q(w.as_ref(), y.as_ref(), &mut x, ctx);
+                x
+            }
+            Q1::Dense(q1) => {
+                let mut xq = Mat::<f32>::zeros(x.rows(), x.cols());
+                ctx.gemm(
+                    "evd_q1x",
+                    1.0,
+                    q1.as_ref(),
+                    Op::NoTrans,
+                    x.as_ref(),
+                    Op::NoTrans,
+                    0.0,
+                    xq.as_mut(),
+                );
+                xq
+            }
+            Q1::Identity => x,
+        }
+    }
+}
+
+/// Stage 1: successive band reduction, dispatched once over the SBR
+/// variants. `Q₁` is kept only when `vectors` is set.
+fn reduce(
+    a: &Mat<f32>,
+    b: usize,
+    sbr: SbrVariant,
+    panel: PanelKind,
+    vectors: bool,
+    ctx: &GemmContext,
+) -> Result<(Mat<f32>, Q1), EvdError> {
+    let from_levels = |levels: Vec<LevelWy>| {
+        if vectors && !levels.is_empty() {
+            Q1::Levels(levels)
+        } else {
+            Q1::Identity
+        }
+    };
+    Ok(match sbr {
+        SbrVariant::Wy { block } => {
+            let wy = WyOptions {
+                bandwidth: b,
+                block,
+                panel,
+                accumulate_q: false,
+            };
+            let r = sbr_wy(a, &wy, ctx)?;
+            (r.band, from_levels(r.levels))
+        }
+        SbrVariant::Zy => {
+            let zy = SbrOptions {
+                bandwidth: b,
+                panel,
+                accumulate_q: vectors,
+            };
+            let r = sbr_zy(a, &zy, ctx)?;
+            (r.band, r.q.map_or(Q1::Identity, Q1::Dense))
+        }
+        SbrVariant::Dbr { block } => {
+            let dbr = DbrOptions {
+                bandwidth: b,
+                block,
+                panel,
+                accumulate_q: false,
+            };
+            let r = sbr_dbr(a, &dbr, ctx)?;
+            // DBR emits WY-style levels, so FormW serves it unchanged.
+            (r.band, from_levels(r.levels))
+        }
+    })
+}
+
+/// `opts.trace` routes pipeline stage spans and counters into the
+/// context's sink; the SBR/GEMM layers below always use the context sink
+/// directly.
+fn pipeline_sink(opts: &SymEigOptions, ctx: &GemmContext) -> TraceSink {
+    if opts.trace {
+        ctx.sink().clone()
+    } else {
+        TraceSink::disabled()
+    }
 }
 
 /// The tridiagonal solver ladder (rungs 3–5 of the [`RecoveryPolicy`]):
@@ -763,9 +850,7 @@ pub fn sym_eigenvalues(
     opts: &SymEigOptions,
     ctx: &GemmContext,
 ) -> Result<Vec<f32>, EvdError> {
-    let mut o = *opts;
-    o.vectors = false;
-    Ok(sym_eig(a, &o, ctx)?.values)
+    Ok(run_pipeline(a, Cols::Values, opts, ctx)?.values)
 }
 
 /// Selected eigenpairs through the same two-stage reduction: bisection for
@@ -774,144 +859,18 @@ pub fn sym_eigenvalues(
 /// partial-spectrum workflow (largest-k for PCA / low-rank approximation)
 /// the paper's introduction motivates.
 ///
-/// Stage 1 always uses the WY form regardless of `opts.sbr`: the thin
-/// back-transform needs FormW factors. A [`SbrVariant::Zy`] request is
-/// substituted with WY at block size `4·bandwidth` and recorded on the
-/// trace sink as `recovery.zy_selected_wy_substitution` (when
-/// `opts.trace` is set), so the substitution is observable.
+/// Stage 1 runs the configured `opts.sbr` variant. `opts.vectors`,
+/// `opts.solver` and `opts.recovery.verify_tol` do not apply: the result
+/// always carries the `n×k` eigenvector block. A NaN bound in an
+/// [`EigRange::Value`] is an [`EvdError::InvalidInput`]; infinite bounds
+/// are valid.
 pub fn sym_eig_selected(
     a: &Mat<f32>,
-    range: crate::bisect::EigRange<f32>,
+    range: EigRange<f32>,
     opts: &SymEigOptions,
     ctx: &GemmContext,
 ) -> Result<SymEigResult, EvdError> {
-    let n = a.rows();
-    if !a.is_square() {
-        return Err(EvdError::Shape {
-            what: "sym_eig_selected input (must be square)",
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    if n == 0 {
-        return Ok(SymEigResult {
-            values: Vec::new(),
-            vectors: None,
-        });
-    }
-    ensure_finite(a.as_slice(), EvdStage::Input)?;
-    if let Some(full) = trivial_sym_eig(a, true) {
-        return Ok(select_trivial(full, range, n));
-    }
-    rayon::configure(opts.threads);
-    let b = clamp_bandwidth(opts.bandwidth, n);
-    let sink = if opts.trace {
-        ctx.sink().clone()
-    } else {
-        TraceSink::disabled()
-    };
-    let _par = ParCounters::new(&sink);
-    let _root_span = span!(sink, "sym_eig_selected", n, b);
-    check_cancelled(ctx, EvdStage::Input)?;
-
-    // Stage 1 always runs via a WY-form variant here: only FormW factors
-    // support the thin per-column back-transform this driver is built
-    // around (ZY's Z·Yᵀ updates materialize against the full Q). DBR emits
-    // WY-style levels, so a DBR request runs natively; a ZY request is
-    // substituted with WY at an equivalent block size — documented
-    // behavior, surfaced through the trace sink rather than silently
-    // ignored (see the module docs).
-    let r = {
-        let _stage = tcevd_prof::StageScope::begin(&sink, "sbr");
-        match opts.sbr {
-            SbrVariant::Dbr { block } => sbr_dbr(
-                a,
-                &DbrOptions {
-                    bandwidth: b,
-                    block: validate_dbr_block(block, b, n)?,
-                    panel: opts.panel,
-                    accumulate_q: false,
-                },
-                ctx,
-            )?,
-            _ => {
-                let block = match opts.sbr {
-                    SbrVariant::Wy { block } => block,
-                    _ => {
-                        sink.add("recovery.zy_selected_wy_substitution", 1);
-                        4 * b
-                    }
-                };
-                sbr_wy(
-                    a,
-                    &WyOptions {
-                        bandwidth: b,
-                        block,
-                        panel: opts.panel,
-                        accumulate_q: false,
-                    },
-                    ctx,
-                )?
-            }
-        }
-    };
-    check_sanitizer(ctx, EvdStage::Sbr)?;
-    ensure_finite(r.band.as_slice(), EvdStage::Sbr)?;
-    check_cancelled(ctx, EvdStage::Sbr)?;
-
-    // Stage 2 with Q₂ (needed to lift tridiagonal vectors to band space).
-    let (q2, t) = {
-        let _stage = tcevd_prof::StageScope::begin(&sink, "bulge_chase");
-        let chase = bulge_chase_with(&r.band, b, true, &sink);
-        let t = SymTridiag::new(chase.diag, chase.offdiag);
-        (chase.q, t)
-    };
-    ensure_finite(&t.d, EvdStage::BulgeChase)?;
-    ensure_finite(&t.e, EvdStage::BulgeChase)?;
-    check_cancelled(ctx, EvdStage::BulgeChase)?;
-
-    let (values, z) = {
-        let _stage = tcevd_prof::StageScope::begin(&sink, "tridiag_solve");
-        crate::inverse_iter::tridiag_eig_selected(&t, range)?
-    };
-    check_cancelled(ctx, EvdStage::TridiagSolve)?;
-    let k = values.len();
-    if k == 0 {
-        return Ok(SymEigResult {
-            values,
-            vectors: Some(Mat::zeros(n, 0)),
-        });
-    }
-
-    // X = Q₁·(Q₂·Z_sel)
-    let _bt_stage = tcevd_prof::StageScope::begin(&sink, "back_transform");
-    let Some(q2) = q2 else {
-        return Err(EvdError::Unrecoverable {
-            stage: EvdStage::BackTransform,
-            detail: "bulge chase did not accumulate Q despite vector request".to_string(),
-        });
-    };
-    let mut x = Mat::<f32>::zeros(n, k);
-    ctx.gemm(
-        "evd_sel_q2z",
-        1.0,
-        q2.as_ref(),
-        Op::NoTrans,
-        z.as_ref(),
-        Op::NoTrans,
-        0.0,
-        x.as_mut(),
-    );
-    if !r.levels.is_empty() {
-        let (w, y) = form_wy(&r.levels, n, ctx);
-        tcevd_band::apply_q(w.as_ref(), y.as_ref(), &mut x, ctx);
-    }
-    check_sanitizer(ctx, EvdStage::BackTransform)?;
-    ensure_finite(x.as_slice(), EvdStage::BackTransform)?;
-    Ok(SymEigResult {
-        values,
-        vectors: Some(x),
-    })
+    run_pipeline(a, Cols::Range(range), opts, ctx)
 }
 
 #[cfg(test)]
@@ -1200,6 +1159,12 @@ mod tests {
         let a1 = Mat::<f32>::from_fn(1, 1, |_, _| 2.0);
         let one = sym_eig_selected(&a1, EigRange::Value { lo: 0.0, hi: 2.0 }, &o, &ctx).unwrap();
         assert_eq!(one.values, vec![2.0]);
+        // n = 0: an empty 0×0 block, like every other selected result
+        let a0 = Mat::<f32>::zeros(0, 0);
+        let empty = sym_eig_selected(&a0, EigRange::Index { lo: 0, hi: 3 }, &o, &ctx).unwrap();
+        assert!(empty.values.is_empty());
+        let x = empty.vectors.as_ref().unwrap();
+        assert_eq!((x.rows(), x.cols()), (0, 0));
     }
 
     #[test]
@@ -1234,43 +1199,78 @@ mod tests {
         ));
     }
 
+    /// ZY's dense Q₁ back-transforms the selected columns directly: values
+    /// and residuals match the corresponding slice of the full ZY solve
+    /// within `c·n·u·‖A‖`, and the selected path emits the SBR byte
+    /// estimate like the full one.
     #[test]
-    fn selected_zy_request_substitutes_wy_and_traces_it() {
-        // sym_eig_selected always runs stage 1 via WY; a ZY request must
-        // (a) be surfaced on the trace sink, (b) produce exactly the
-        // results of the equivalent WY run (block = 4·b), and (c) not
-        // count anything when tracing is off.
-        let n = 64;
-        let b = 8;
+    fn selected_zy_matches_full_zy_slice() {
+        use crate::bisect::EigRange;
+        let (n, b, k) = (64, 8, 4);
         let a: Mat<f32> = generate(n, MatrixType::Normal, 90).cast();
-        let range = crate::bisect::EigRange::Index { lo: n - 4, hi: n };
-
         let sink = TraceSink::enabled();
         let ctx = GemmContext::new(Engine::Sgemm).with_sink(sink.clone());
-        let mut o_zy = opts(b, 16);
-        o_zy.sbr = SbrVariant::Zy;
-        o_zy.trace = true;
-        let r_zy = sym_eig_selected(&a, range, &o_zy, &ctx).unwrap();
-        assert_eq!(sink.counter("recovery.zy_selected_wy_substitution"), 1);
+        let mut o = opts(b, 16);
+        o.sbr = SbrVariant::Zy;
+        o.trace = true;
+        let sel = sym_eig_selected(&a, EigRange::Index { lo: n - k, hi: n }, &o, &ctx).unwrap();
+        assert_eq!(
+            sink.counter("sbr_bytes_est"),
+            tcevd_perfmodel::zy_memory(n, b).total()
+        );
+        o.vectors = true;
+        let full = sym_eig(&a, &o, &GemmContext::new(Engine::Sgemm)).unwrap();
 
-        // equivalent WY configuration: bit-identical values and vectors
-        let ctx2 = GemmContext::new(Engine::Sgemm);
-        let o_wy = opts(b, 4 * b);
-        let r_wy = sym_eig_selected(&a, range, &o_wy, &ctx2).unwrap();
-        assert_eq!(r_zy.values, r_wy.values);
-        match (&r_zy.vectors, &r_wy.vectors) {
-            (Some(x), Some(y)) => assert_eq!(x.max_abs_diff(y), 0.0),
-            (None, None) => {}
-            _ => panic!("vector presence must match"),
+        // Backward-stable reduction and solve: eigenvalue errors and
+        // residuals are O(n·u·‖A‖); c = 4 leaves headroom over the observed.
+        let norm_a = tcevd_matrix::norms::frobenius(a.as_ref());
+        let bound = 4.0 * n as f32 * f32::EPSILON * norm_a;
+        assert_eq!(sel.values.len(), k);
+        for (got, want) in sel.values.iter().zip(&full.values[n - k..]) {
+            assert!(
+                (got - want).abs() <= bound,
+                "{got} vs {want}, bound {bound}"
+            );
         }
+        let xf = full.vectors.as_ref().unwrap();
+        let full_slice = Mat::from_fn(n, k, |i, j| xf[(i, n - k + j)]);
+        let x = sel.vectors.as_ref().unwrap();
+        for (values, x) in [(&sel.values[..], x), (&full.values[n - k..], &full_slice)] {
+            let res = eigenpair_residual(a.as_ref(), values, x.as_ref()) * norm_a;
+            assert!(res <= bound, "residual {res}, bound {bound}");
+        }
+    }
 
-        // tracing off: the substitution still happens, the sink stays cold
-        let sink2 = TraceSink::enabled();
-        let ctx3 = GemmContext::new(Engine::Sgemm).with_sink(sink2.clone());
-        let mut o_quiet = o_zy;
-        o_quiet.trace = false;
-        sym_eig_selected(&a, range, &o_quiet, &ctx3).unwrap();
-        assert_eq!(sink2.counter("recovery.zy_selected_wy_substitution"), 0);
+    #[test]
+    fn nan_range_bound_is_invalid_input() {
+        use crate::bisect::EigRange;
+        let ctx = GemmContext::new(Engine::Sgemm);
+        for n in [2usize, 64] {
+            let a: Mat<f32> = generate(n, MatrixType::Normal, 91).cast();
+            for range in [
+                EigRange::Value {
+                    lo: f32::NAN,
+                    hi: 1.0,
+                },
+                EigRange::Value {
+                    lo: -1.0,
+                    hi: f32::NAN,
+                },
+            ] {
+                let r = sym_eig_selected(&a, range, &opts(8, 16), &ctx);
+                assert!(
+                    matches!(r, Err(EvdError::InvalidInput { .. })),
+                    "n={n}: {r:?}"
+                );
+            }
+            // infinite bounds stay valid and select the whole spectrum
+            let all = EigRange::Value {
+                lo: f32::NEG_INFINITY,
+                hi: f32::INFINITY,
+            };
+            let r = sym_eig_selected(&a, all, &opts(8, 16), &ctx).unwrap();
+            assert_eq!(r.values.len(), n);
+        }
     }
 
     #[test]
@@ -1310,8 +1310,11 @@ mod tests {
             &ctx_traced,
         )
         .unwrap();
-        // no WY substitution: DBR's FormW-compatible levels run as-is
-        assert_eq!(sink.counter("recovery.zy_selected_wy_substitution"), 0);
+        // DBR's FormW-compatible levels run as-is, with the DBR estimate
+        assert_eq!(
+            sink.counter("sbr_bytes_est"),
+            tcevd_perfmodel::dbr_memory(n, 8, 32).total()
+        );
         o.vectors = true;
         let full = sym_eig(&a, &o, &ctx).unwrap();
         assert_eq!(sel.values.len(), 5);

@@ -341,7 +341,7 @@ fn check_selected_against_full(
 }
 
 proptest! {
-    // each case runs one full EVD and four selected EVDs — keep the count low
+    // each case runs one full EVD and eight selected EVDs — keep the count low
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
@@ -368,21 +368,24 @@ proptest! {
         let full = sym_eig(&a, &opts, &ctx).unwrap();
         prop_assert_eq!(full.values.len(), n);
 
-        // index range as drawn (possibly empty / inverted / past n)
-        check_selected_against_full(
-            &a, EigRange::Index { lo: ilo, hi: ihi }, &full.values, &opts,
-        );
-
         // value range as drawn, skipping draws that land a boundary within
         // f32 resolution of an eigenvalue (the strict/half-open boundary is
         // then solver-dependent and not the property under test)
         let boundary_clear = |x: f32| {
             full.values.iter().all(|v| (v - x).abs() > 1e-3)
         };
-        if boundary_clear(v1) && boundary_clear(v2) {
+        // every SBR variant back-transforms the selected columns natively
+        for sbr in [opts.sbr, SbrVariant::Zy] {
+            let opts = SymEigOptions { sbr, ..opts };
+            // index range as drawn (possibly empty / inverted / past n)
             check_selected_against_full(
-                &a, EigRange::Value { lo: v1, hi: v2 }, &full.values, &opts,
+                &a, EigRange::Index { lo: ilo, hi: ihi }, &full.values, &opts,
             );
+            if boundary_clear(v1) && boundary_clear(v2) {
+                check_selected_against_full(
+                    &a, EigRange::Value { lo: v1, hi: v2 }, &full.values, &opts,
+                );
+            }
         }
     }
 }
