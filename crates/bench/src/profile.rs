@@ -219,6 +219,11 @@ pub fn profile_run(n: usize, seed: u64) -> ProfileRun {
     );
     let _ = writeln!(
         out,
+        "    \"kernel_flops_dc\": {},",
+        sink.counter("kernel_flops.dc")
+    );
+    let _ = writeln!(
+        out,
         "    \"peak_bytes\": {},",
         sink.counter("mem.peak_bytes")
     );
@@ -300,6 +305,14 @@ mod tests {
                 .and_then(json::Value::as_f64)
                 .unwrap_or(0.0)
                 > 0.0
+        );
+        assert!(
+            totals
+                .get("kernel_flops_dc")
+                .and_then(json::Value::as_f64)
+                .unwrap_or(0.0)
+                > 0.0,
+            "n = 96 runs D&C merges"
         );
         assert!(
             totals

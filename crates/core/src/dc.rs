@@ -12,10 +12,48 @@
 //!
 //! Roots are stored as `(origin, offset)` pairs so every difference
 //! `λ − d_i` is computed without cancellation.
+//!
+//! # Column types
+//!
+//! The merge never forms the block-diagonal basis `diag(Q₁, Q₂)`. It keeps
+//! `Q₁` (m×m) and `Q₂` ((n−m)×(n−m)) as the recursion returns them, sorts
+//! and deflates through an index array, and records for each coordinate
+//! which column of `Q₁` holds its top half (rows `0..m`) and which column of
+//! `Q₂` its bottom half (rows `m..n`). A coordinate starts with exactly one
+//! half. A deflation rotation between a `Q₁` and a `Q₂` coordinate makes
+//! both columns *dense*: the deflated one is written straight into the
+//! output, the surviving one keeps a top half in `Q₁` and a bottom half in
+//! `Q₂`, both rotated in place. The active columns then fall into LAPACK
+//! `laed2`'s three types — top-only, dense, bottom-only — and the rows of
+//! the secular eigenvector matrix `U` are ordered that way. Gathering the
+//! matching `Q₁` and `Q₂` columns to the front of each block (in place)
+//! turns `diag(Q₁, Q₂)·U` into two GEMMs with no structural zeros:
+//!
+//! - rows `0..m`: `Q₁[:, top-only ∪ dense] · U[top-only ∪ dense, :]`
+//! - rows `m..n`: `Q₂[:, dense ∪ bottom-only] · U[dense ∪ bottom-only, :]`
+//!
+//! Both write straight into the one n×n output; an in-place column
+//! permutation then sorts it by eigenvalue. [`rank1_update`] is the same
+//! merge with its `q` as the only block.
+//!
+//! # Buffer lifetimes and workspace
+//!
+//! Every n²-sized buffer is a [`Mat`], so the [`tcevd_matrix::mem`]
+//! watermark sees all of it. A merge of size n with `k` active roots holds:
+//!
+//! - the output, n×n, alive from the start of the merge to its return;
+//! - `Q₁` and `Q₂`, m² + (n−m)², dropped after the two GEMMs;
+//! - `U`, k×k with k ≤ n, dropped after the two GEMMs.
+//!
+//! So the top-level merge peaks at no more than `2n² + m² + (n−m)²`
+//! elements (≈ 2.5·n²) above the caller's baseline. Deeper merges stay
+//! below that even when `rayon::join` runs both halves at once: two merges
+//! of size n/2 hold at most 2 · 2.5·(n/2)² = 1.25·n².
 
 use crate::ql::{tridiag_eig_ql, EigError};
 use crate::tridiag::SymTridiag;
-use tcevd_matrix::blas3::matmul;
+use std::cmp::Ordering;
+use tcevd_matrix::blas3::gemm;
 use tcevd_matrix::scalar::Scalar;
 use tcevd_matrix::{Mat, Op};
 use tcevd_trace::{span, TraceSink};
@@ -29,9 +67,14 @@ pub fn tridiag_eig_dc<T: Scalar>(t: &SymTridiag<T>) -> Result<(Vec<T>, Mat<T>), 
     tridiag_eig_dc_with(t, &TraceSink::disabled())
 }
 
-/// [`tridiag_eig_dc`] with observability: emits a `tridiag_dc` span, counts
-/// rank-1 merges (`dc_merges`), and records merge sizes and recursion depths
-/// (`dc_merge_size`, `dc_merge_depth` histograms) into `sink`.
+/// [`tridiag_eig_dc`] with observability: emits a `tridiag_dc` span and,
+/// summed over the rank-1 merges, counts merges (`dc_merges`), deflated
+/// coordinates (`dc_deflated`), active dense columns (`dc_dense_cols`) and
+/// the flops of the split eigenvector GEMMs (`kernel_flops.dc`,
+/// `2·(m·k_up + (n−m)·k_dn)·k` per merge with `k` active roots, `k_up` of
+/// them with a top half and `k_dn` with a bottom half). Merge sizes and
+/// recursion depths go to the `dc_merge_size` and `dc_merge_depth`
+/// histograms.
 pub fn tridiag_eig_dc_with<T: Scalar>(
     t: &SymTridiag<T>,
     sink: &TraceSink,
@@ -64,81 +107,76 @@ fn dc_rec<T: Scalar>(
         || dc_rec(&d1, &e[..m - 1], depth + 1, sink),
         || dc_rec(&d2, &e[m..], depth + 1, sink),
     );
-    let (l1, q1) = r1?;
+    let (mut dvals, q1) = r1?;
     let (l2, q2) = r2?;
     sink.add("dc_merges", 1);
     sink.record("dc_merge_size", n as u64);
     sink.record("dc_merge_depth", depth);
 
-    // Assemble D, z, and the block-diagonal Q.
-    let mut dvals = Vec::with_capacity(n);
-    dvals.extend_from_slice(&l1);
+    // D = diag(Λ₁, Λ₂); z = diag(Q₁, Q₂)ᵀ·u is the last row of Q₁ followed
+    // by the first row of Q₂.
     dvals.extend_from_slice(&l2);
-    let mut z = vec![T::ZERO; n];
-    for i in 0..m {
-        z[i] = q1[(m - 1, i)]; // last row of Q₁
-    }
-    for j in 0..n - m {
-        z[m + j] = q2[(0, j)]; // first row of Q₂
-    }
-    let mut qbig = Mat::<T>::zeros(n, n);
-    qbig.view_mut(0, 0, m, m).copy_from(q1.as_ref());
-    qbig.view_mut(m, m, n - m, n - m).copy_from(q2.as_ref());
-
-    Ok(rank1_update(dvals, z, rho, qbig))
+    let z = (0..m)
+        .map(|j| q1[(m - 1, j)])
+        .chain((0..n - m).map(|j| q2[(0, j)]))
+        .collect();
+    Ok(merge(dvals, z, rho, q1, q2, sink))
 }
 
 /// Eigendecomposition of `D + ρ·z·zᵀ`, composed with the accumulated `q`
 /// (whose columns correspond to the coordinates of `D`). Returns ascending
 /// eigenvalues and `q·U`.
 pub fn rank1_update<T: Scalar>(dvals: Vec<T>, z: Vec<T>, rho: T, q: Mat<T>) -> (Vec<T>, Mat<T>) {
-    if rho > T::ZERO {
-        rank1_core(dvals, z, rho, q)
-    } else if rho < T::ZERO {
-        // eig(D + ρzzᵀ) = −eig(−D + |ρ|zzᵀ), reversed to ascend.
-        let dneg = dvals.into_iter().map(|x| -x).collect();
-        let (mut vals, qout) = rank1_core(dneg, z, -rho, q);
-        vals.iter_mut().for_each(|v| *v = -*v);
-        vals.reverse();
-        let n = qout.cols();
-        let mut qr = Mat::<T>::zeros(qout.rows(), n);
-        for j in 0..n {
-            qr.col_mut(j).copy_from_slice(qout.col(n - 1 - j));
-        }
-        (vals, qr)
-    } else {
-        // ρ = 0: already diagonal — sort.
-        let n = dvals.len();
-        let mut idx: Vec<usize> = (0..n).collect();
-        idx.sort_by(|&a, &b| {
-            dvals[a]
-                .partial_cmp(&dvals[b])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let vals = idx.iter().map(|&i| dvals[i]).collect();
-        let mut qs = Mat::<T>::zeros(q.rows(), n);
-        for (new, &old) in idx.iter().enumerate() {
-            qs.col_mut(new).copy_from_slice(q.col(old));
-        }
-        (vals, qs)
-    }
+    merge(dvals, z, rho, q, Mat::zeros(0, 0), &TraceSink::disabled())
 }
 
-/// Core solver for ρ > 0.
-fn rank1_core<T: Scalar>(dvals: Vec<T>, z: Vec<T>, rho: T, q: Mat<T>) -> (Vec<T>, Mat<T>) {
+/// Where one basis column of `diag(Q₁, Q₂)` lives: its top half in column
+/// `top` of `Q₁`, its bottom half in column `bot` of `Q₂`. `None` is a
+/// structurally zero half.
+#[derive(Clone, Copy)]
+struct Halves {
+    top: Option<usize>,
+    bot: Option<usize>,
+}
+
+/// The D&C merge: eigenvalues (ascending) and eigenvectors of `D + ρ·z·zᵀ`
+/// composed with the basis `diag(q1, q2)`, whose `q1.cols() + q2.cols()`
+/// columns are the coordinates of `D`. The eigenvector matrix has
+/// `q1.rows() + q2.rows()` rows. See the module docs for the column types
+/// and the buffers alive at each step.
+fn merge<T: Scalar>(
+    dvals: Vec<T>,
+    z: Vec<T>,
+    rho: T,
+    mut q1: Mat<T>,
+    mut q2: Mat<T>,
+    sink: &TraceSink,
+) -> (Vec<T>, Mat<T>) {
     let n = dvals.len();
+    let (r1, r2, c1) = (q1.rows(), q2.rows(), q1.cols());
+    assert_eq!(
+        c1 + q2.cols(),
+        n,
+        "merge basis needs one column per coordinate"
+    );
+    assert_eq!(z.len(), n, "merge z needs one entry per coordinate");
+
+    // eig(D + ρzzᵀ) = −eig(−D + |ρ|zzᵀ): solve with ρ ≥ 0 and negate the
+    // values back before the final sort.
+    let flip = rho < T::ZERO;
+    let rho = rho.abs();
+    let dvals: Vec<T> = if flip {
+        dvals.into_iter().map(|x| -x).collect()
+    } else {
+        dvals
+    };
     let znorm2: T = z.iter().map(|&v| v * v).sum();
     let rho_eff = rho * znorm2;
     let dmax = dvals.iter().fold(T::ZERO, |m, v| m.max_val(v.abs()));
     let scale = dmax.max_val(rho_eff);
 
-    // Sort D ascending, carrying z and Q columns.
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| {
-        dvals[a]
-            .partial_cmp(&dvals[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    // Sort D ascending through an index array; the basis stays in place.
+    let idx = ascending(&dvals);
     let mut ds: Vec<T> = idx.iter().map(|&i| dvals[i]).collect();
     let inv_norm = if znorm2 > T::ZERO {
         T::ONE / znorm2.sqrt()
@@ -146,21 +184,49 @@ fn rank1_core<T: Scalar>(dvals: Vec<T>, z: Vec<T>, rho: T, q: Mat<T>) -> (Vec<T>
         T::ZERO
     };
     let mut zs: Vec<T> = idx.iter().map(|&i| z[i] * inv_norm).collect();
-    let mut qs = Mat::<T>::zeros(q.rows(), n);
-    for (new, &old) in idx.iter().enumerate() {
-        qs.col_mut(new).copy_from_slice(q.col(old));
-    }
+    let mut halves: Vec<Halves> = idx
+        .iter()
+        .map(|&i| {
+            if i < c1 {
+                Halves {
+                    top: Some(i),
+                    bot: None,
+                }
+            } else {
+                Halves {
+                    top: None,
+                    bot: Some(i - c1),
+                }
+            }
+        })
+        .collect();
 
-    if rho_eff <= scale * T::EPSILON || znorm2 == T::ZERO {
-        return (ds, qs);
-    }
+    // The one n×n buffer. Deflated columns fill it from the right as they
+    // are found; the GEMMs write the active ones from the left. `vals`
+    // holds each column's eigenvalue.
+    let mut out = Mat::<T>::zeros(r1 + r2, n);
+    let mut vals = vec![T::ZERO; n];
+    let mut first_deflated = n; // deflated columns occupy first_deflated..n
 
     // ---- Deflation ----
+    // A negligible (or non-finite) ρ·‖z‖² deflates every coordinate.
+    let rank_one_negligible =
+        !rho_eff.is_finite() || rho_eff <= scale * T::EPSILON || znorm2 == T::ZERO;
     let tol = T::from_f64(8.0) * T::EPSILON * scale;
-    let mut active = vec![true; n];
+    let mut active = vec![false; n];
     for i in 0..n {
-        if (rho_eff * zs[i].abs()) <= tol {
-            active[i] = false;
+        if rank_one_negligible || (rho_eff * zs[i].abs()) <= tol {
+            first_deflated -= 1;
+            let (top, bot) = out.col_mut(first_deflated).split_at_mut(r1);
+            if let Some(a) = halves[i].top {
+                top.copy_from_slice(q1.col(a));
+            }
+            if let Some(b) = halves[i].bot {
+                bot.copy_from_slice(q2.col(b));
+            }
+            vals[first_deflated] = ds[i];
+        } else {
+            active[i] = true;
         }
     }
     // Coalesce near-equal active d's with Givens rotations that zero one z.
@@ -183,13 +249,16 @@ fn rank1_core<T: Scalar>(dvals: Vec<T>, z: Vec<T>, rho: T, q: Mat<T>) -> (Vec<T>
                 let (dp, di) = (ds[p], ds[i]);
                 ds[p] = c * c * dp + s * s * di;
                 ds[i] = s * s * dp + c * c * di;
-                // rotate Q columns: [p, i] ← [c·p + s·i, −s·p + c·i]
-                for k in 0..qs.rows() {
-                    let a = qs[(k, p)];
-                    let b = qs[(k, i)];
-                    qs[(k, p)] = c * a + s * b;
-                    qs[(k, i)] = -s * a + c * b;
-                }
+                // rotate the basis columns: [p, i] ← [c·p + s·i, −s·p + c·i].
+                // p is deflated, so its new column goes straight to `out`.
+                first_deflated -= 1;
+                let (top, bot) = out.col_mut(first_deflated).split_at_mut(r1);
+                let (hp, hi) = (halves[p], halves[i]);
+                halves[i] = Halves {
+                    top: rotate_pair(&mut q1, hp.top, hi.top, c, s, top),
+                    bot: rotate_pair(&mut q2, hp.bot, hi.bot, c, s, bot),
+                };
+                vals[first_deflated] = ds[p];
                 active[p] = false;
             }
         }
@@ -198,10 +267,6 @@ fn rank1_core<T: Scalar>(dvals: Vec<T>, z: Vec<T>, rho: T, q: Mat<T>) -> (Vec<T>
 
     let act: Vec<usize> = (0..n).filter(|&i| active[i]).collect();
     let kk = act.len();
-    if kk == 0 {
-        // everything deflated: re-sort (rotations may have nudged order)
-        return sort_final(ds, qs);
-    }
     let da: Vec<T> = act.iter().map(|&i| ds[i]).collect();
     let za: Vec<T> = act.iter().map(|&i| zs[i]).collect();
     let zsum2: T = za.iter().map(|&v| v * v).sum();
@@ -229,14 +294,27 @@ fn rank1_core<T: Scalar>(dvals: Vec<T>, z: Vec<T>, rho: T, q: Mat<T>) -> (Vec<T>
         zt[i] = prod.abs().sqrt().copysign(za[i]);
     }
 
-    // Eigenvectors in active-coordinate space.
+    // Order U's rows by column type — top-only, dense, bottom-only —
+    // so each block's GEMM reads one contiguous row range of U.
+    let mut by_type: Vec<usize> = (0..kk).collect();
+    by_type.sort_by_key(|&j| match halves[act[j]] {
+        Halves { bot: None, .. } => 0,
+        Halves { top: None, .. } => 2,
+        _ => 1,
+    });
+    let mut row = vec![0; kk];
+    for (r, &j) in by_type.iter().enumerate() {
+        row[j] = r;
+    }
+
+    // Eigenvectors in active-coordinate space, rows permuted by `row`.
     let mut u = Mat::<T>::zeros(kk, kk);
     for k in 0..kk {
         let col = u.col_mut(k);
         let mut norm2 = T::ZERO;
         for i in 0..kk {
             let v = zt[i] / lam_minus_d(k, i);
-            col[i] = v;
+            col[row[i]] = v;
             norm2 += v * v;
         }
         let inv = T::ONE / norm2.sqrt();
@@ -245,49 +323,133 @@ fn rank1_core<T: Scalar>(dvals: Vec<T>, z: Vec<T>, rho: T, q: Mat<T>) -> (Vec<T>
         }
     }
 
-    // Compose: columns for active roots are Q_active·u_k.
-    let qa = {
-        let mut qa = Mat::<T>::zeros(qs.rows(), kk);
-        for (c, &i) in act.iter().enumerate() {
-            qa.col_mut(c).copy_from_slice(qs.col(i));
-        }
-        qa
-    };
-    let qau = matmul(qa.as_ref(), Op::NoTrans, u.as_ref(), Op::NoTrans);
+    // Gather each block's active halves to its front in U's row order,
+    // then compose: out[:, 0..k] = diag(Q₁, Q₂)·U as two GEMMs.
+    let tops: Vec<usize> = by_type.iter().filter_map(|&j| halves[act[j]].top).collect();
+    let bots: Vec<usize> = by_type.iter().filter_map(|&j| halves[act[j]].bot).collect();
+    let (k_up, k_dn) = (tops.len(), bots.len());
+    gather_cols(&mut q1, &tops);
+    gather_cols(&mut q2, &bots);
+    if r1 > 0 && k_up > 0 {
+        gemm(
+            T::ONE,
+            q1.view(0, 0, r1, k_up),
+            Op::NoTrans,
+            u.view(0, 0, k_up, kk),
+            Op::NoTrans,
+            T::ZERO,
+            out.view_mut(0, 0, r1, kk),
+        );
+    }
+    if r2 > 0 && k_dn > 0 {
+        gemm(
+            T::ONE,
+            q2.view(0, 0, r2, k_dn),
+            Op::NoTrans,
+            u.view(kk - k_dn, 0, k_dn, kk),
+            Op::NoTrans,
+            T::ZERO,
+            out.view_mut(r1, 0, r2, kk),
+        );
+    }
+    for (k, &(org, mu)) in roots.iter().enumerate() {
+        vals[k] = da[org] + mu;
+    }
+    drop((q1, q2, u)); // only the output lives on
+    sink.add("dc_deflated", (n - kk) as u64);
+    sink.add("dc_dense_cols", (k_up + k_dn - kk) as u64);
+    sink.add(
+        "kernel_flops.dc",
+        2 * (r1 * k_up + r2 * k_dn) as u64 * kk as u64,
+    );
 
-    // Gather all (value, column) pairs and sort ascending.
-    let mut vals = Vec::with_capacity(n);
-    let mut qout = Mat::<T>::zeros(qs.rows(), n);
-    let mut col = 0;
-    for i in 0..n {
-        if !active[i] {
-            vals.push(ds[i]);
-            qout.col_mut(col).copy_from_slice(qs.col(i));
-            col += 1;
-        }
+    // Sort the columns by eigenvalue in place.
+    if flip {
+        vals.iter_mut().for_each(|v| *v = -*v);
     }
-    for (k, &(org, mu)) in roots.iter().enumerate().take(kk) {
-        vals.push(da[org] + mu);
-        qout.col_mut(col).copy_from_slice(qau.col(k));
-        col += 1;
-    }
-    sort_final(vals, qout)
+    let order = ascending(&vals);
+    gather_cols(&mut out, &order);
+    (order.iter().map(|&i| vals[i]).collect(), out)
 }
 
-fn sort_final<T: Scalar>(vals: Vec<T>, q: Mat<T>) -> (Vec<T>, Mat<T>) {
-    let n = vals.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| {
-        vals[a]
-            .partial_cmp(&vals[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let out_vals: Vec<T> = idx.iter().map(|&i| vals[i]).collect();
-    let mut out_q = Mat::<T>::zeros(q.rows(), n);
-    for (new, &old) in idx.iter().enumerate() {
-        out_q.col_mut(new).copy_from_slice(q.col(old));
+/// The indices of `v` in ascending order of value (a stable sort).
+fn ascending<T: Scalar>(v: &[T]) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..v.len()).collect();
+    idx.sort_by(|&a, &b| v[a].partial_cmp(&v[b]).unwrap_or(Ordering::Equal));
+    idx
+}
+
+/// Rotate the halves that one block holds of basis columns `p` and `i`,
+/// `[p, i] ← [c·p + s·i, −s·p + c·i]`. The new `p` half is written to
+/// `p_out`; the new `i` half stays in `q`, in the column returned. When only
+/// one of the two has a half in this block, that column is reused for `i`.
+fn rotate_pair<T: Scalar>(
+    q: &mut Mat<T>,
+    p: Option<usize>,
+    i: Option<usize>,
+    c: T,
+    s: T,
+    p_out: &mut [T],
+) -> Option<usize> {
+    match (p, i) {
+        (Some(a), Some(b)) => {
+            let (qa, qb) = col_pair_mut(q, a, b);
+            for ((o, x), y) in p_out.iter_mut().zip(qa.iter()).zip(qb.iter_mut()) {
+                let (xp, xi) = (*x, *y);
+                *o = c * xp + s * xi;
+                *y = -s * xp + c * xi;
+            }
+            Some(b)
+        }
+        (Some(a), None) => {
+            for (o, x) in p_out.iter_mut().zip(q.col_mut(a)) {
+                let xp = *x;
+                *o = c * xp;
+                *x = -s * xp;
+            }
+            Some(a)
+        }
+        (None, Some(b)) => {
+            for (o, y) in p_out.iter_mut().zip(q.col_mut(b)) {
+                let xi = *y;
+                *o = s * xi;
+                *y = c * xi;
+            }
+            Some(b)
+        }
+        (None, None) => None,
     }
-    (out_vals, out_q)
+}
+
+/// Columns `a` and `b` (`a ≠ b`) of `q`, both mutable.
+fn col_pair_mut<T: Scalar>(q: &mut Mat<T>, a: usize, b: usize) -> (&mut [T], &mut [T]) {
+    let r = q.rows();
+    let data = q.as_mut_slice();
+    if a < b {
+        let (lo, hi) = data.split_at_mut(b * r);
+        (&mut lo[a * r..(a + 1) * r], &mut hi[..r])
+    } else {
+        let (lo, hi) = data.split_at_mut(a * r);
+        (&mut hi[..r], &mut lo[b * r..(b + 1) * r])
+    }
+}
+
+/// Reorder the columns of `q` in place so that column `t` holds what was
+/// column `src[t]` (`src` distinct). Columns past `src.len()` keep the
+/// displaced columns in no particular order.
+fn gather_cols<T: Scalar>(q: &mut Mat<T>, src: &[usize]) {
+    let mut at: Vec<usize> = (0..q.cols()).collect(); // original column at each slot
+    let mut pos = at.clone(); // slot of each original column
+    for (t, &s) in src.iter().enumerate() {
+        let from = pos[s];
+        if from != t {
+            let (dst, cur) = col_pair_mut(q, t, from);
+            dst.swap_with_slice(cur);
+            let displaced = at[t];
+            (at[from], pos[displaced]) = (displaced, from);
+            (at[t], pos[s]) = (s, t);
+        }
+    }
 }
 
 /// Solve `1 + ρ·Σ zᵢ²/(dᵢ − λ) = 0` for the k-th root.
@@ -384,7 +546,9 @@ fn secular_root<T: Scalar>(d: &[T], z: &[T], rho: T, zsum2: T, k: usize) -> (usi
 mod tests {
     use super::*;
     use crate::ql::tridiag_eigenvalues;
+    use crate::reference::tridiagonalize;
     use tcevd_matrix::norms::orthogonality_residual;
+    use tcevd_testmat::{generate, MatrixType};
 
     fn laplacian(n: usize) -> SymTridiag<f64> {
         SymTridiag::new(vec![2.0; n], vec![-1.0; n - 1])
@@ -547,5 +711,200 @@ mod tests {
                 assert!(lam < d[3] + rho * zsum2 * 1.01);
             }
         }
+    }
+
+    /// The constant `c` of the accuracy bound `c·n·u·‖T‖` every check
+    /// below uses (`c·n·u` for orthogonality), with `u` the unit roundoff
+    /// of the precision under test.
+    const C: f64 = 4.0;
+
+    /// `‖T‖₁` (= `‖T‖∞`, T symmetric).
+    fn norm1(t: &SymTridiag<f64>) -> f64 {
+        let n = t.n();
+        (0..n)
+            .map(|i| {
+                let left = if i > 0 { t.e[i - 1].abs() } else { 0.0 };
+                let right = if i + 1 < n { t.e[i].abs() } else { 0.0 };
+                left + t.d[i].abs() + right
+            })
+            .fold(0.0, f64::max)
+    }
+
+    /// Run `tridiag_eig_dc_with` in precision `T` on `t64` and return its
+    /// largest eigenvalue error against the f64 QL reference, its largest
+    /// eigenpair residual `‖T·z − λ·z‖₂` (both over `n·u·‖T‖₁`) and its
+    /// orthogonality loss `‖ZᵀZ − I‖_F` over `n·u`.
+    fn error_ratios<T: Scalar>(t64: &SymTridiag<f64>, sink: &TraceSink) -> [f64; 3] {
+        let n = t64.n();
+        let t = SymTridiag::new(
+            t64.d.iter().map(|&x| T::from_f64(x)).collect(),
+            t64.e.iter().map(|&x| T::from_f64(x)).collect(),
+        );
+        let (vals, z) = tridiag_eig_dc_with(&t, sink).unwrap();
+        let reference = tridiag_eigenvalues(t64).unwrap();
+        let nu = n as f64 * T::EPSILON.to_f64();
+        let bound = nu * norm1(t64).max(f64::MIN_POSITIVE);
+        let val_err = vals
+            .iter()
+            .zip(&reference)
+            .map(|(v, r)| (v.to_f64() - r).abs())
+            .fold(0.0, f64::max);
+        let z64: Mat<f64> = z.cast();
+        let resid = (0..n)
+            .map(|k| {
+                let x = z64.col(k);
+                let y = t64.mul_vec(x);
+                let lam = vals[k].to_f64();
+                y.iter()
+                    .zip(x)
+                    .map(|(yi, xi)| (yi - lam * xi).powi(2))
+                    .sum::<f64>()
+                    .sqrt()
+            })
+            .fold(0.0, f64::max);
+        let orth = orthogonality_residual(z64.as_ref());
+        [val_err / bound, resid / bound, orth / nu]
+    }
+
+    /// [`error_ratios`] in f32 and f64, each held to `C`; returns the f64
+    /// run's counters.
+    fn check_bound(t64: &SymTridiag<f64>, tag: &str) -> TraceSink {
+        let sink32 = TraceSink::enabled();
+        let sink64 = TraceSink::enabled();
+        for (prec, r) in [
+            ("f32", error_ratios::<f32>(t64, &sink32)),
+            ("f64", error_ratios::<f64>(t64, &sink64)),
+        ] {
+            for (what, ratio) in ["eigenvalue", "residual", "orthogonality"].iter().zip(r) {
+                assert!(
+                    ratio <= C,
+                    "{tag} {prec}: {what} error is {ratio} × n·u·‖T‖"
+                );
+            }
+        }
+        sink64
+    }
+
+    /// A tridiagonal of size `n` whose two D&C halves (sizes ⌊n/2⌋ and
+    /// ⌈n/2⌉) share ⌊n/2⌋ eigenvalues: the second half mirrors the first
+    /// (odd `n` adds one decoupled diagonal entry), and the tear carries
+    /// `rho`. Every shared pair deflates through a cross-block rotation.
+    fn mirrored(n: usize, rho: f64, seed: u64) -> SymTridiag<f64> {
+        let m = n / 2;
+        let half = rand_tridiag(m, seed);
+        let mut d = half.d.clone();
+        d.extend(half.d.iter().rev());
+        let mut e = half.e.clone();
+        e.push(rho);
+        e.extend(half.e.iter().rev());
+        if n % 2 == 1 {
+            d.push(0.25);
+            e.push(0.0);
+        }
+        SymTridiag::new(d, e)
+    }
+
+    #[test]
+    fn cross_block_deflation_makes_dense_columns() {
+        for n in [DC_BASE + 1, 2 * DC_BASE + 1, 2 * DC_BASE + 2, 100] {
+            for rho in [0.75, -0.75] {
+                let tag = format!("mirrored n={n} rho={rho}");
+                let sink = check_bound(&mirrored(n, rho, n as u64), &tag);
+                assert!(
+                    sink.counter("dc_dense_cols") > 0,
+                    "{tag}: no cross-block rotation ran"
+                );
+                assert!(sink.counter("dc_deflated") > 0, "{tag}");
+            }
+        }
+    }
+
+    #[test]
+    fn all_deflated_merges() {
+        // one merge each (n ≤ 2·DC_BASE): an exact-zero tear and a tear far
+        // below the deflation tolerance both deflate every coordinate
+        for n in [DC_BASE + 1, 2 * DC_BASE] {
+            for rho in [0.0, 1e-30, -1e-30] {
+                let mut t = rand_tridiag(n, 11);
+                t.e[n / 2 - 1] = rho;
+                let tag = format!("torn n={n} rho={rho}");
+                let sink = check_bound(&t, &tag);
+                assert_eq!(sink.counter("dc_merges"), 1, "{tag}");
+                assert_eq!(sink.counter("dc_deflated"), n as u64, "{tag}");
+                assert_eq!(sink.counter("kernel_flops.dc"), 0, "{tag}");
+            }
+        }
+        // every off-diagonal zero: each merge of a deep recursion is trivial
+        let mut t = rand_tridiag(150, 12);
+        t.e.iter_mut().for_each(|e| *e = 0.0);
+        let sink = check_bound(&t, "diagonal n=150");
+        let merged = sink.histograms()["dc_merge_size"].sum;
+        assert_eq!(sink.counter("dc_deflated"), merged);
+        assert_eq!(sink.counter("kernel_flops.dc"), 0);
+    }
+
+    #[test]
+    fn testmat_families_within_bound() {
+        for (name, mt) in MatrixType::paper_suite() {
+            for n in [DC_BASE + 1, 2 * DC_BASE + 1, 130] {
+                let (t, _) = tridiagonalize(&generate(n, mt, 5), false);
+                check_bound(&t, &format!("{name} n={n}"));
+            }
+        }
+        check_bound(&laplacian(200), "laplacian n=200");
+        let mut t = rand_tridiag(120, 13);
+        t.e.iter_mut().for_each(|e| *e = -e.abs());
+        check_bound(&t, "negative off-diagonals n=120");
+    }
+
+    #[test]
+    fn split_gemm_flops_are_counted() {
+        // a random tridiagonal's single merge (n = 2·DC_BASE) deflates
+        // nothing: both GEMMs see every root, k_up = k_dn = m = n/2, k = n
+        let n = 2 * DC_BASE;
+        let sink = check_bound(&rand_tridiag(n, 14), "random n=48");
+        assert_eq!(sink.counter("dc_merges"), 1);
+        assert_eq!(sink.counter("dc_deflated"), 0);
+        assert_eq!(sink.counter("dc_dense_cols"), 0);
+        let (n, m) = (n as u64, (n / 2) as u64);
+        assert_eq!(sink.counter("kernel_flops.dc"), 2 * (m * m + m * m) * n);
+    }
+
+    #[test]
+    fn rank1_update_composes_with_q() {
+        // D + ρzzᵀ with repeated d's (same-block rotations) and ρ < 0,
+        // composed with an orthogonal q: the result is q times the result
+        // for q = I, and (D + ρzzᵀ)·U = U·Λ.
+        let n = 30;
+        let d: Vec<f64> = (0..n).map(|i| (i / 3) as f64 * 0.5).collect();
+        let z: Vec<f64> = (0..n).map(|i| 0.1 + 0.03 * i as f64).collect();
+        let rho = -0.7;
+        let (_, q) = tridiag_eig_dc(&rand_tridiag(n, 15)).unwrap();
+        let (vals, u) = rank1_update(d.clone(), z.clone(), rho, Mat::identity(n, n));
+        let (vals_q, qu) = rank1_update(d.clone(), z.clone(), rho, q.clone());
+        let bound =
+            C * n as f64 * f64::EPSILON * (2.0 + rho.abs() * z.iter().map(|v| v * v).sum::<f64>());
+        for w in vals.windows(2) {
+            assert!(w[0] <= w[1]);
+        }
+        for (a, b) in vals.iter().zip(&vals_q) {
+            assert_eq!(a, b);
+        }
+        let want = tcevd_matrix::blas3::matmul(q.as_ref(), Op::NoTrans, u.as_ref(), Op::NoTrans);
+        assert!(
+            want.max_abs_diff(&qu) <= bound,
+            "q·U differs by {}",
+            want.max_abs_diff(&qu)
+        );
+        for (k, &lam) in vals.iter().enumerate() {
+            let x = u.col(k);
+            let zx: f64 = z.iter().zip(x).map(|(a, b)| a * b).sum();
+            let r = (0..n)
+                .map(|i| (d[i] * x[i] + rho * z[i] * zx - lam * x[i]).powi(2))
+                .sum::<f64>()
+                .sqrt();
+            assert!(r <= bound, "residual {r} at k={k}");
+        }
+        assert!(orthogonality_residual(u.as_ref()) <= C * n as f64 * f64::EPSILON);
     }
 }

@@ -107,6 +107,7 @@ fn stage_deltas_partition_the_run() {
     // GEMM flops dominate, and the non-GEMM kernels were tallied too
     assert!(sink.counter("kernel_flops.panel") > 0);
     assert!(sink.counter("kernel_flops.bulge") > 0);
+    assert!(sink.counter("kernel_flops.dc") > 0);
 }
 
 /// The measured allocation watermark must be consistent with the
