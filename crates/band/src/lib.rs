@@ -6,17 +6,17 @@
 //!
 //! * [`sbr_zy()`] — conventional ZY-representation SBR (the MAGMA-style
 //!   baseline with tall-skinny GEMMs).
-//! * [`sbr_wy()`] — the paper's Algorithm 1: recursive WY-representation SBR
-//!   with big-block deferred trailing updates ('squeezed' near-square
-//!   GEMMs for Tensor Cores).
-//! * [`sbr_dbr()`] — detached band reduction (the follow-up paper): the WY
-//!   recursion with `nb` decoupled from `b` and the trailing update folded
-//!   into one rank-`nb` symmetric syr2k per block.
+//! * [`sbr_blocked()`] — the blocked SBR with big-block deferred trailing
+//!   updates ('squeezed' near-square GEMMs for Tensor Cores). A
+//!   [`BlockEnd`] parameter picks how each block's trailing update is
+//!   written: the paper's Algorithm 1 (three rank-`nb` GEMMs; [`sbr_wy()`]
+//!   is this setting) or the follow-up paper's detached band reduction
+//!   (one rank-`nb` symmetric syr2k, which lets `nb` grow past `b`).
 //! * [`formw`] — the paper's Algorithm 2: recursive merge of per-block WY
 //!   factors for the eigenvector back-transformation.
 //! * [`bulge_packed`] — band → tridiagonal bulge chasing (stage 2) on
 //!   packed band storage; [`bulge`] is its entry point for dense input.
-//! * [`trace_model`] — dry-run GEMM/panel shape traces of both SBR variants
+//! * [`trace_model`] — dry-run GEMM/panel shape traces of the SBR variants
 //!   at arbitrary n, validated call-for-call against the real
 //!   implementations; these drive the performance-model reproduction of the
 //!   paper's timing figures.
@@ -36,7 +36,6 @@ pub mod formw;
 pub mod multisweep;
 pub mod panel;
 mod qupdate;
-pub mod sbr_dbr;
 pub mod sbr_wy;
 pub mod sbr_zy;
 pub mod storage;
@@ -49,11 +48,10 @@ pub use error::BandError;
 pub use formw::{apply_q, form_wy};
 pub use multisweep::{band_reduce_sweep, multi_sweep_tridiagonalize};
 pub use panel::{factor_panel, factor_panel_with, FactoredPanel, PanelKind};
-pub use sbr_dbr::{sbr_dbr, DbrOptions};
-pub use sbr_wy::{sbr_wy, LevelWy, WyOptions, WySbrResult};
+pub use sbr_wy::{sbr_blocked, sbr_wy, BlockEnd, LevelWy, WyOptions, WySbrResult};
 pub use sbr_zy::sbr_zy;
 pub use storage::SymBand;
 pub use trace_model::{
-    dbr_trace, dbr_trace_on, formw_trace, formw_trace_on, wy_trace, wy_trace_on, zy_trace,
-    zy_trace_on, PanelOp, SbrTrace,
+    blocked_trace_on, formw_trace, formw_trace_on, wy_trace, wy_trace_on, zy_trace, zy_trace_on,
+    PanelOp, SbrTrace,
 };

@@ -1,4 +1,6 @@
-//! WY-representation successive band reduction — the paper's Algorithm 1.
+//! The blocked successive band reduction: the paper's Algorithm 1 (WY) and
+//! the detached band reduction (DBR, Wang et al., arXiv 2410.02170) as one
+//! loop with the block-end update as a parameter.
 //!
 //! The key idea: inside a *large* block of `nb` columns (`nb ≫ b`), only the
 //! **next panel's columns** are updated after each panel QR — always against
@@ -19,6 +21,22 @@
 //! Unlike the ZY form, no `Z` (which depends on the *fully updated* trailing
 //! matrix) is ever needed — that is precisely why the update can be deferred
 //! (paper §4.2.1 vs §4.2.2).
+//!
+//! The once-per-block trailing update expands to
+//!
+//! ```text
+//! GA = OA − T1·Yᵀ − Y·T1ᵀ + Y·T2·Yᵀ ,     T1 = OA·W ,  T2 = Wᵀ·T1
+//! ```
+//!
+//! and [`BlockEnd`] picks how it is written. [`BlockEnd::ThreeGemm`] is the
+//! paper's form: three full rank-`k` GEMMs plus `Y·T2`. [`BlockEnd::Syr2k`]
+//! is DBR's: `T2` is symmetric (since `OA` is), so the middle term folds into
+//! one wing, `V = T1 − ½·Y·T2`, and `GA = OA − V·Yᵀ − Y·Vᵀ` is a single
+//! rank-`nb` syr2k — half the trailing arithmetic on an engine with a native
+//! symmetric kernel, and on any engine the near-square shape the recursive
+//! `tcevd_matrix::blas3::syr2k_lower` splits into packed GEMMs. That frees
+//! `nb` from `b`: `b` stays small for cheap bulge chasing while `nb` grows
+//! (the crossover sweep lives in `reproduce dbr`).
 
 use crate::common::{accumulate_q_right, clip_to_band, symmetrize, SbrResult};
 use crate::panel::{factor_panel_with, PanelKind};
@@ -26,7 +44,7 @@ use tcevd_matrix::{Mat, Op};
 use tcevd_tensorcore::GemmContext;
 use tcevd_trace::span;
 
-/// Configuration for the WY-based SBR.
+/// Configuration for the blocked SBR.
 #[derive(Copy, Clone, Debug)]
 pub struct WyOptions {
     /// Target bandwidth `b` (panel width).
@@ -51,6 +69,19 @@ impl Default for WyOptions {
     }
 }
 
+/// How [`sbr_blocked`] writes the once-per-block trailing update
+/// `OA − T1·Yᵀ − Y·T1ᵀ + Y·T2·Yᵀ`. Both compute the same transform in a
+/// different arithmetic order; the panel and next-panel recursion is shared.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum BlockEnd {
+    /// The paper's WY form: `Y·T2` plus three rank-`k` GEMMs
+    /// (`wy_final_u1..u3`).
+    ThreeGemm,
+    /// The detached band reduction: `V = T1 − ½·Y·T2` (`dbr_final_v`), then
+    /// one syr2k `OA − V·Yᵀ − Y·Vᵀ` (`dbr_syr2k`).
+    Syr2k,
+}
+
 /// Per-level aggregated `(W, Y)` pair, for the recursive FormW
 /// back-transformation (paper Algorithm 2). Rows are in *global* matrix
 /// coordinates starting at `row_offset`.
@@ -60,8 +91,8 @@ pub struct LevelWy {
     pub y: Mat<f32>,
 }
 
-/// Result of the WY SBR: the band matrix, optional accumulated `Q`, and the
-/// per-level WY factors (inputs to [`crate::formw`]).
+/// Result of the blocked SBR: the band matrix, optional accumulated `Q`,
+/// and the per-level WY factors (inputs to [`crate::formw`]).
 pub struct WySbrResult {
     pub band: Mat<f32>,
     pub q: Option<Mat<f32>>,
@@ -78,7 +109,7 @@ impl From<WySbrResult> for SbrResult {
 }
 
 /// Reduce symmetric `a` to band form with the recursive WY algorithm
-/// (paper Algorithm 1).
+/// (paper Algorithm 1): [`sbr_blocked`] with [`BlockEnd::ThreeGemm`].
 ///
 /// Returns [`crate::BandError`] (rather than panicking) on a non-square
 /// input, a zero bandwidth, or non-finite entries.
@@ -100,13 +131,41 @@ pub fn sbr_wy(
     opts: &WyOptions,
     ctx: &GemmContext,
 ) -> Result<WySbrResult, crate::BandError> {
+    sbr_blocked(a, opts, BlockEnd::ThreeGemm, ctx)
+}
+
+/// Reduce symmetric `a` to band form with the blocked SBR, writing each
+/// block's trailing update as `end` says. Both settings produce the same
+/// per-level `(W, Y)` factors, so FormW serves either.
+///
+/// Returns [`crate::BandError`] (rather than panicking) on a non-square
+/// input, a zero bandwidth, or non-finite entries.
+///
+/// ```
+/// use tcevd_band::{sbr_blocked, BlockEnd, WyOptions, PanelKind, max_outside_band};
+/// use tcevd_tensorcore::{Engine, GemmContext};
+/// use tcevd_matrix::Mat;
+///
+/// let a: Mat<f32> = tcevd_testmat::generate(48, tcevd_testmat::MatrixType::Normal, 1).cast();
+/// let ctx = GemmContext::new(Engine::Sgemm);
+/// let r = sbr_blocked(&a, &WyOptions {
+///     bandwidth: 8, block: 32, panel: PanelKind::Tsqr, accumulate_q: false,
+/// }, BlockEnd::Syr2k, &ctx).expect("finite square input");
+/// assert_eq!(max_outside_band(r.band.as_ref(), 8), 0.0);
+/// ```
+pub fn sbr_blocked(
+    a: &Mat<f32>,
+    opts: &WyOptions,
+    end: BlockEnd,
+    ctx: &GemmContext,
+) -> Result<WySbrResult, crate::BandError> {
     crate::error::check_sbr_input(a, opts.bandwidth)?;
     let n = a.rows();
     let b = opts.bandwidth;
     let nb = (opts.block / b).max(1) * b;
 
     let sink = ctx.sink().clone();
-    let _sbr_span = span!(sink, "sbr_wy", n, b, nb);
+    let _sbr_span = span!(sink, "sbr_wy", n, b, nb, end = format!("{end:?}"));
 
     let mut a = a.clone();
     let mut q = opts.accumulate_q.then(|| Mat::<f32>::identity(n, n));
@@ -318,50 +377,75 @@ pub fn sbr_wy(
             t2.as_mut(),
         );
 
-        let t1t = t1.view(processed, 0, mt, k).to_owned();
-        let mut m_t = oa.submatrix(processed, processed, mt, mt);
         // M_t ← OA_t − T1_t·Y_tᵀ − Y_t·T1_tᵀ + Y_t·T2·Y_tᵀ
-        ctx.gemm(
-            "wy_final_u1",
-            -1.0,
-            t1t.as_ref(),
-            Op::NoTrans,
-            y_t,
-            Op::Trans,
-            1.0,
-            m_t.as_mut(),
-        );
-        ctx.gemm(
-            "wy_final_u2",
-            -1.0,
-            y_t,
-            Op::NoTrans,
-            t1t.as_ref(),
-            Op::Trans,
-            1.0,
-            m_t.as_mut(),
-        );
-        let mut yt2 = Mat::<f32>::zeros(mt, k);
-        ctx.gemm(
-            "wy_final_yt2",
-            1.0,
-            y_t,
-            Op::NoTrans,
-            t2.as_ref(),
-            Op::NoTrans,
-            0.0,
-            yt2.as_mut(),
-        );
-        ctx.gemm(
-            "wy_final_u3",
-            1.0,
-            yt2.as_ref(),
-            Op::NoTrans,
-            y_t,
-            Op::Trans,
-            1.0,
-            m_t.as_mut(),
-        );
+        // Each arm copies OA_t only when it first writes it: the Tensor-Core
+        // engines allocate rounded operand copies per GEMM, so an earlier
+        // copy would raise the Syr2k end's watermark during `dbr_final_v`.
+        let mut t1t = t1.view(processed, 0, mt, k).to_owned();
+        let mut m_t = match end {
+            BlockEnd::ThreeGemm => {
+                let mut m_t = oa.submatrix(processed, processed, mt, mt);
+                ctx.gemm(
+                    "wy_final_u1",
+                    -1.0,
+                    t1t.as_ref(),
+                    Op::NoTrans,
+                    y_t,
+                    Op::Trans,
+                    1.0,
+                    m_t.as_mut(),
+                );
+                ctx.gemm(
+                    "wy_final_u2",
+                    -1.0,
+                    y_t,
+                    Op::NoTrans,
+                    t1t.as_ref(),
+                    Op::Trans,
+                    1.0,
+                    m_t.as_mut(),
+                );
+                let mut yt2 = Mat::<f32>::zeros(mt, k);
+                ctx.gemm(
+                    "wy_final_yt2",
+                    1.0,
+                    y_t,
+                    Op::NoTrans,
+                    t2.as_ref(),
+                    Op::NoTrans,
+                    0.0,
+                    yt2.as_mut(),
+                );
+                ctx.gemm(
+                    "wy_final_u3",
+                    1.0,
+                    yt2.as_ref(),
+                    Op::NoTrans,
+                    y_t,
+                    Op::Trans,
+                    1.0,
+                    m_t.as_mut(),
+                );
+                m_t
+            }
+            BlockEnd::Syr2k => {
+                // V_t = T1_t − ½·Y_t·T2, in place of the T1_t copy, then
+                // M_t ← OA_t − V_t·Y_tᵀ − Y_t·V_tᵀ as one syr2k.
+                ctx.gemm(
+                    "dbr_final_v",
+                    -0.5,
+                    y_t,
+                    Op::NoTrans,
+                    t2.as_ref(),
+                    Op::NoTrans,
+                    1.0,
+                    t1t.as_mut(),
+                );
+                let mut m_t = oa.submatrix(processed, processed, mt, mt);
+                ctx.syr2k_update("dbr_syr2k", y_t, t1t.as_ref(), m_t.as_mut());
+                m_t
+            }
+        };
 
         symmetrize(&mut m_t);
         a.view_mut(off + b + processed, off + b + processed, mt, mt)
@@ -386,6 +470,8 @@ mod tests {
     use tcevd_matrix::norms::{frobenius, orthogonality_residual};
     use tcevd_tensorcore::Engine;
     use tcevd_testmat::{generate, MatrixType};
+
+    const ENDS: [BlockEnd; 2] = [BlockEnd::ThreeGemm, BlockEnd::Syr2k];
 
     fn test_matrix(n: usize, seed: u64) -> Mat<f32> {
         generate(n, MatrixType::Normal, seed).cast()
@@ -417,29 +503,35 @@ mod tests {
     fn produces_band_structure() {
         let a = test_matrix(96, 1);
         let ctx = GemmContext::new(Engine::Sgemm);
-        let r = sbr_wy(&a, &opts(8, 32, false), &ctx).expect("sbr reduction");
-        assert_eq!(max_outside_band(r.band.as_ref(), 8), 0.0);
-        assert_eq!(r.band.max_abs_diff(&r.band.transpose()), 0.0);
+        for end in ENDS {
+            let r = sbr_blocked(&a, &opts(8, 32, false), end, &ctx).expect("sbr reduction");
+            assert_eq!(max_outside_band(r.band.as_ref(), 8), 0.0, "{end:?}");
+            assert_eq!(r.band.max_abs_diff(&r.band.transpose()), 0.0, "{end:?}");
+        }
     }
 
     #[test]
     fn backward_stable_sgemm() {
         let a = test_matrix(96, 2);
         let ctx = GemmContext::new(Engine::Sgemm);
-        let r = sbr_wy(&a, &opts(8, 32, true), &ctx).expect("sbr reduction");
-        let q = r.q.as_ref().unwrap();
-        assert!(orthogonality_residual(q.as_ref()) / 96.0 < 1e-5);
-        let be = backward_error(&a, &r.band, q);
-        assert!(be < 1e-6, "backward error {be}");
+        for end in ENDS {
+            let r = sbr_blocked(&a, &opts(8, 32, true), end, &ctx).expect("sbr reduction");
+            let q = r.q.as_ref().unwrap();
+            assert!(orthogonality_residual(q.as_ref()) / 96.0 < 1e-5, "{end:?}");
+            let be = backward_error(&a, &r.band, q);
+            assert!(be < 1e-6, "{end:?}: backward error {be}");
+        }
     }
 
     #[test]
     fn backward_stable_tensor_core() {
         let a = test_matrix(96, 3);
         let ctx = GemmContext::new(Engine::Tc);
-        let r = sbr_wy(&a, &opts(8, 32, true), &ctx).expect("sbr reduction");
-        let be = backward_error(&a, &r.band, r.q.as_ref().unwrap());
-        assert!(be < 1e-4, "backward error {be}"); // TC machine-eps level
+        for end in ENDS {
+            let r = sbr_blocked(&a, &opts(8, 32, true), end, &ctx).expect("sbr reduction");
+            let be = backward_error(&a, &r.band, r.q.as_ref().unwrap());
+            assert!(be < 1e-4, "{end:?}: backward error {be}"); // TC machine-eps level
+        }
     }
 
     #[test]
@@ -467,33 +559,48 @@ mod tests {
     fn nb_equal_b_degenerates_correctly() {
         let a = test_matrix(48, 5);
         let ctx = GemmContext::new(Engine::Sgemm);
-        let r = sbr_wy(&a, &opts(8, 8, true), &ctx).expect("sbr reduction");
-        assert_eq!(max_outside_band(r.band.as_ref(), 8), 0.0);
-        assert!(backward_error(&a, &r.band, r.q.as_ref().unwrap()) < 1e-6);
+        for end in ENDS {
+            let r = sbr_blocked(&a, &opts(8, 8, true), end, &ctx).expect("sbr reduction");
+            assert_eq!(max_outside_band(r.band.as_ref(), 8), 0.0, "{end:?}");
+            assert!(
+                backward_error(&a, &r.band, r.q.as_ref().unwrap()) < 1e-6,
+                "{end:?}"
+            );
+        }
     }
 
     #[test]
     fn nb_larger_than_matrix() {
         let a = test_matrix(40, 6);
         let ctx = GemmContext::new(Engine::Sgemm);
-        let r = sbr_wy(&a, &opts(8, 1024, true), &ctx).expect("sbr reduction");
-        assert_eq!(max_outside_band(r.band.as_ref(), 8), 0.0);
-        assert!(backward_error(&a, &r.band, r.q.as_ref().unwrap()) < 1e-6);
+        for end in ENDS {
+            let r = sbr_blocked(&a, &opts(8, 1024, true), end, &ctx).expect("sbr reduction");
+            assert_eq!(max_outside_band(r.band.as_ref(), 8), 0.0, "{end:?}");
+            assert!(
+                backward_error(&a, &r.band, r.q.as_ref().unwrap()) < 1e-6,
+                "{end:?}"
+            );
+        }
     }
 
     #[test]
     fn odd_sizes_and_blocks() {
-        for (n, b, nb) in [(67, 8, 16), (50, 4, 12), (33, 8, 32), (20, 16, 32)] {
-            let a = test_matrix(n, 7 + n as u64);
-            let ctx = GemmContext::new(Engine::Sgemm);
-            let r = sbr_wy(&a, &opts(b, nb, true), &ctx).expect("sbr reduction");
-            assert_eq!(
-                max_outside_band(r.band.as_ref(), b),
-                0.0,
-                "n={n} b={b} nb={nb}"
-            );
-            let be = backward_error(&a, &r.band, r.q.as_ref().unwrap());
-            assert!(be < 1e-5, "n={n} b={b} nb={nb}: backward error {be}");
+        for end in ENDS {
+            for (n, b, nb) in [(67, 8, 16), (50, 4, 12), (33, 8, 32), (20, 16, 32)] {
+                let a = test_matrix(n, 7 + n as u64);
+                let ctx = GemmContext::new(Engine::Sgemm);
+                let r = sbr_blocked(&a, &opts(b, nb, true), end, &ctx).expect("sbr reduction");
+                assert_eq!(
+                    max_outside_band(r.band.as_ref(), b),
+                    0.0,
+                    "{end:?} n={n} b={b} nb={nb}"
+                );
+                let be = backward_error(&a, &r.band, r.q.as_ref().unwrap());
+                assert!(
+                    be < 1e-5,
+                    "{end:?} n={n} b={b} nb={nb}: backward error {be}"
+                );
+            }
         }
     }
 
@@ -548,13 +655,92 @@ mod tests {
     fn levels_capture_all_reflectors() {
         let a = test_matrix(96, 10);
         let ctx = GemmContext::new(Engine::Sgemm);
-        let r = sbr_wy(&a, &opts(8, 16, false), &ctx).expect("sbr reduction");
-        let total_k: usize = r.levels.iter().map(|l| l.w.cols()).sum();
-        // every column block except those inside the final band gets reflectors
-        assert!(total_k >= 96 - 2 * 8);
-        for l in &r.levels {
-            assert_eq!(l.w.rows(), l.y.rows());
-            assert_eq!(l.w.cols(), l.y.cols());
+        for end in ENDS {
+            let r = sbr_blocked(&a, &opts(8, 16, false), end, &ctx).expect("sbr reduction");
+            let total_k: usize = r.levels.iter().map(|l| l.w.cols()).sum();
+            // every column block except those inside the final band gets reflectors
+            assert!(total_k >= 96 - 2 * 8, "{end:?}");
+            for l in &r.levels {
+                assert_eq!(l.w.rows(), l.y.rows());
+                assert_eq!(l.w.cols(), l.y.cols());
+            }
         }
+    }
+
+    #[test]
+    fn dbr_band_matches_wy_bitwise_until_the_trailing_update() {
+        // The two block ends share the panel + inner recursion exactly; they
+        // differ only in the trailing update arithmetic. On a problem with a
+        // single level and no trailing update (nb ≥ n), the two must agree
+        // to the last bit.
+        let a = test_matrix(40, 11);
+        let ctx = GemmContext::new(Engine::Sgemm);
+        let r_dbr = sbr_blocked(&a, &opts(8, 64, false), BlockEnd::Syr2k, &ctx).expect("dbr");
+        let r_wy = sbr_wy(&a, &opts(8, 64, false), &ctx).expect("wy");
+        assert_eq!(r_dbr.band.max_abs_diff(&r_wy.band), 0.0);
+    }
+
+    #[test]
+    fn dbr_agrees_with_wy_numerically() {
+        // With real trailing updates in play the two block ends compute the
+        // same two-sided transform in different arithmetic orders: same
+        // band matrix up to f32 rounding.
+        let a = test_matrix(96, 4);
+        let ctx = GemmContext::new(Engine::Sgemm);
+        let r_dbr = sbr_blocked(&a, &opts(8, 16, true), BlockEnd::Syr2k, &ctx).expect("dbr");
+        let r_wy = sbr_wy(&a, &opts(8, 16, true), &ctx).expect("wy");
+        assert!(backward_error(&a, &r_dbr.band, r_dbr.q.as_ref().unwrap()) < 1e-6);
+        let d = r_dbr.band.max_abs_diff(&r_wy.band);
+        let scale = frobenius(a.as_ref());
+        assert!(d < 1e-4 * scale, "DBR vs WY band diff {d} (scale {scale})");
+    }
+
+    #[test]
+    fn dbr_trailing_update_is_one_syr2k_per_level() {
+        // The point of detaching nb from b: per trailing update, exactly one
+        // syr2k record at k = nb on a native-syr2k engine, versus WY's four
+        // rectangular GEMMs.
+        let a = test_matrix(128, 8);
+        let ctx = GemmContext::new(Engine::Sgemm).with_trace();
+        let _ = sbr_blocked(&a, &opts(8, 32, false), BlockEnd::Syr2k, &ctx).expect("sbr");
+        let tr = ctx.take_trace();
+        let syr2k: Vec<_> = tr.iter().filter(|r| r.label == "dbr_syr2k").collect();
+        assert!(!syr2k.is_empty());
+        let max_k = syr2k.iter().map(|r| r.k).max().unwrap();
+        assert_eq!(max_k, 32, "trailing syr2k must run at k = nb");
+        // one record per trailing update: as many as wy_final_waw calls
+        let waw = tr.iter().filter(|r| r.label == "wy_final_waw").count();
+        assert_eq!(syr2k.len(), waw);
+        // and no WY-style four-GEMM expansion anywhere: T2 is the only
+        // wy_final_* product the folded update shares
+        assert!(tr
+            .iter()
+            .filter(|r| r.label.starts_with("wy_final"))
+            .all(|r| r.label == "wy_final_waw"));
+    }
+
+    #[test]
+    fn dbr_trailing_flops_are_below_wy() {
+        // The folded syr2k formulation does ~half the trailing arithmetic
+        // of WY's four-GEMM expansion at the same (n, b, nb).
+        let a = test_matrix(160, 9);
+        let ctx_dbr = GemmContext::new(Engine::Sgemm).with_trace();
+        let _ = sbr_blocked(&a, &opts(8, 32, false), BlockEnd::Syr2k, &ctx_dbr).expect("dbr");
+        let ctx_wy = GemmContext::new(Engine::Sgemm).with_trace();
+        let _ = sbr_wy(&a, &opts(8, 32, false), &ctx_wy).expect("wy");
+        let trailing = |tr: &[tcevd_tensorcore::GemmRecord], prefix: &str| -> u64 {
+            tr.iter()
+                .filter(|r| r.label.starts_with(prefix))
+                .map(|r| r.flops())
+                .sum()
+        };
+        let dbr_tr = ctx_dbr.take_trace();
+        let wy_tr = ctx_wy.take_trace();
+        let f_dbr = trailing(&dbr_tr, "wy_final_") + trailing(&dbr_tr, "dbr_");
+        let f_wy = trailing(&wy_tr, "wy_final_");
+        assert!(
+            f_dbr * 3 < f_wy * 2,
+            "DBR trailing {f_dbr} should be well below WY {f_wy}"
+        );
     }
 }

@@ -4,11 +4,15 @@
 //! The paper's evaluation runs at n up to 32768 — far beyond what a software
 //! fp16 GEMM can execute, but the *shape profile* of the algorithms is a
 //! pure function of (n, b, nb). These generators mirror the loop structure
-//! of [`sbr_zy()`](crate::sbr_zy::sbr_zy) and [`sbr_wy()`](crate::sbr_wy::sbr_wy) one GEMM call for one GEMM
+//! of [`sbr_zy()`](crate::sbr_zy::sbr_zy) and
+//! [`sbr_blocked()`](crate::sbr_wy::sbr_blocked) one GEMM call for one GEMM
 //! call (tests assert exact equality against the instrumented real runs at
 //! small n), so replaying them through the calibrated throughput model
-//! reproduces the paper's timing figures at full scale.
+//! reproduces the paper's timing figures at full scale. Like the real
+//! reduction, the blocked generator takes the [`BlockEnd`] as a parameter:
+//! only the once-per-block trailing update differs between the two.
 
+use crate::sbr_wy::BlockEnd;
 use tcevd_tensorcore::{Engine, GemmRecord};
 
 /// A panel factorization's shape (handled by a separate cost model — panels
@@ -24,6 +28,9 @@ pub struct PanelOp {
 pub struct SbrTrace {
     pub gemms: Vec<GemmRecord>,
     pub panels: Vec<PanelOp>,
+    /// Aggregated width `k` of each level's `(W, Y)` — the blocked SBR's
+    /// FormW inputs; empty for ZY, which keeps no levels.
+    pub level_widths: Vec<usize>,
 }
 
 impl SbrTrace {
@@ -92,9 +99,27 @@ pub fn wy_trace(n: usize, b: usize, block: usize) -> SbrTrace {
 }
 
 /// Engine-faithful WY trace ([`wy_trace`] with records carrying `engine`).
-/// The WY algorithm issues no rank-2k updates, so the shape sequence is
+/// The WY block end issues no rank-2k updates, so the shape sequence is
 /// engine-independent; only the recorded engine differs.
 pub fn wy_trace_on(n: usize, b: usize, block: usize, engine: Engine) -> SbrTrace {
+    blocked_trace_on(n, b, block, BlockEnd::ThreeGemm, engine)
+}
+
+/// Engine-faithful trace of the blocked SBR (mirrors
+/// [`crate::sbr_wy::sbr_blocked`] without Q accumulation). The panel and
+/// next-panel recursion is shared; the trailing update follows `end`. The
+/// [`BlockEnd::Syr2k`] update is recorded the way the engine executes it,
+/// one native record on [`Engine::Sgemm`] and two full outer products on
+/// the Tensor-Core engines (mirroring
+/// [`GemmContext::syr2k_update`](tcevd_tensorcore::GemmContext::syr2k_update)
+/// record for record).
+pub fn blocked_trace_on(
+    n: usize,
+    b: usize,
+    block: usize,
+    end: BlockEnd,
+    engine: Engine,
+) -> SbrTrace {
     let rec = |label, m, n, k| rec_on(engine, label, m, n, k);
     let nb = (block / b).max(1) * b;
     let mut t = SbrTrace::default();
@@ -123,75 +148,27 @@ pub fn wy_trace_on(n: usize, b: usize, block: usize, engine: Engine) -> SbrTrace
             t.gemms.push(rec("wy_inner_ga", mp, cw, k));
             i += b;
         }
+        t.level_widths.push(k);
         let processed = i;
         if processed + b >= m {
             break;
         }
         let mt = mp - processed;
         t.gemms.push(rec("wy_final_waw", k, k, mp));
-        t.gemms.push(rec("wy_final_u1", mt, mt, k));
-        t.gemms.push(rec("wy_final_u2", mt, mt, k));
-        t.gemms.push(rec("wy_final_yt2", mt, k, k));
-        t.gemms.push(rec("wy_final_u3", mt, mt, k));
-        off += processed;
-    }
-    t
-}
-
-/// GEMM/panel trace of the detached band reduction (mirrors
-/// [`crate::sbr_dbr::sbr_dbr`] without Q accumulation) on the default
-/// Tensor-Core engine.
-pub fn dbr_trace(n: usize, b: usize, block: usize) -> SbrTrace {
-    dbr_trace_on(n, b, block, Engine::Tc)
-}
-
-/// Engine-faithful DBR trace: the panel + inner recursion is the WY shape
-/// sequence (with `dbr_*` labels), while the trailing update is two small
-/// GEMMs plus one rank-`nb` syr2k — recorded the way the engine executes
-/// it, one native record on [`Engine::Sgemm`], two full outer products on
-/// the Tensor-Core engines (mirroring
-/// [`GemmContext::syr2k_update`](tcevd_tensorcore::GemmContext::syr2k_update)
-/// record for record).
-pub fn dbr_trace_on(n: usize, b: usize, block: usize, engine: Engine) -> SbrTrace {
-    let rec = |label, m, n, k| rec_on(engine, label, m, n, k);
-    let native_syr2k = matches!(engine, Engine::Sgemm);
-    let nb = (block / b).max(1) * b;
-    let mut t = SbrTrace::default();
-    let mut off = 0;
-    while off + b < n {
-        let m = n - off;
-        let mp = m - b;
-        let mut k = 0usize;
-        let mut i = 0;
-        while i < nb && i + b < m {
-            let prows = m - i - b;
-            let kf = prows.min(b);
-            t.panels.push(PanelOp {
-                rows: prows,
-                cols: b,
-            });
-            if k > 0 {
-                t.gemms.push(rec("dbr_acc_ytw", k, kf, mp));
-                t.gemms.push(rec("dbr_acc_w", mp, kf, k));
+        match end {
+            BlockEnd::ThreeGemm => {
+                t.gemms.push(rec("wy_final_u1", mt, mt, k));
+                t.gemms.push(rec("wy_final_u2", mt, mt, k));
+                t.gemms.push(rec("wy_final_yt2", mt, k, k));
+                t.gemms.push(rec("wy_final_u3", mt, mt, k));
             }
-            t.gemms.push(rec("dbr_aw_append", mp, kf, mp));
-            k += kf;
-            let cw = b.min(mp - i);
-            t.gemms.push(rec("dbr_inner_x", mp, cw, k));
-            t.gemms.push(rec("dbr_inner_wx", k, cw, mp));
-            t.gemms.push(rec("dbr_inner_ga", mp, cw, k));
-            i += b;
-        }
-        let processed = i;
-        if processed + b >= m {
-            break;
-        }
-        let mt = mp - processed;
-        t.gemms.push(rec("dbr_final_waw", k, k, mp));
-        t.gemms.push(rec("dbr_final_v", mt, k, k));
-        t.gemms.push(rec("dbr_syr2k", mt, mt, k));
-        if !native_syr2k {
-            t.gemms.push(rec("dbr_syr2k", mt, mt, k));
+            BlockEnd::Syr2k => {
+                t.gemms.push(rec("dbr_final_v", mt, k, k));
+                t.gemms.push(rec("dbr_syr2k", mt, mt, k));
+                if !matches!(engine, Engine::Sgemm) {
+                    t.gemms.push(rec("dbr_syr2k", mt, mt, k));
+                }
+            }
         }
         off += processed;
     }
@@ -216,26 +193,7 @@ pub fn formw_trace_on(
     engine: Engine,
 ) -> Vec<GemmRecord> {
     let rec = |label, m, n, k| rec_on(engine, label, m, n, k);
-    let nb = (block / b).max(1) * b;
-    // level widths: mirror wy_trace's per-level aggregated k
-    let mut widths = Vec::new();
-    let mut off = 0;
-    while off + b < n {
-        let m = n - off;
-        let mut k = 0;
-        let mut i = 0;
-        while i < nb && i + b < m {
-            k += (m - i - b).min(b);
-            i += b;
-        }
-        if k > 0 {
-            widths.push(k);
-        }
-        if i + b >= m {
-            break;
-        }
-        off += i;
-    }
+    let widths = wy_trace_on(n, b, block, engine).level_widths;
     let mut out = Vec::new();
     merge_rec(&widths, n, engine, &mut out);
     let ktot: usize = widths.iter().sum();
@@ -264,7 +222,7 @@ mod tests {
     use super::*;
     use crate::common::SbrOptions;
     use crate::panel::PanelKind;
-    use crate::sbr_wy::{sbr_wy, WyOptions};
+    use crate::sbr_wy::{sbr_blocked, sbr_wy, WyOptions};
     use crate::sbr_zy::sbr_zy;
     use tcevd_matrix::Mat;
     use tcevd_tensorcore::GemmContext;
@@ -282,7 +240,7 @@ mod tests {
         let mut recs = Vec::new();
         recs.extend(zy_trace(64, 8).gemms);
         recs.extend(wy_trace(64, 8, 16).gemms);
-        recs.extend(dbr_trace(64, 8, 16).gemms);
+        recs.extend(blocked_trace_on(64, 8, 16, BlockEnd::Syr2k, Engine::Tc).gemms);
         recs.extend(formw_trace(64, 8, 16, 64));
         assert!(!recs.is_empty());
         for r in &recs {
@@ -317,84 +275,36 @@ mod tests {
 
     #[test]
     fn wy_model_matches_real_trace() {
-        for (n, b, nb) in [
-            (96, 8, 16),
-            (96, 8, 32),
-            (67, 8, 16),
-            (128, 16, 64),
-            (50, 4, 12),
-        ] {
-            let a: Mat<f32> = generate(n, MatrixType::Normal, 32).cast();
-            let ctx = GemmContext::new(Engine::Tc).with_trace();
-            let _ = sbr_wy(
-                &a,
-                &WyOptions {
-                    bandwidth: b,
-                    block: nb,
-                    panel: PanelKind::Tsqr,
-                    accumulate_q: false,
-                },
-                &ctx,
-            )
-            .expect("sbr reduction");
-            let real = ctx.take_trace();
-            let model = wy_trace(n, b, nb);
-            assert_eq!(shapes(&real), shapes(&model.gemms), "n={n} b={b} nb={nb}");
-        }
-    }
-
-    #[test]
-    fn dbr_model_matches_real_trace() {
-        use crate::sbr_dbr::{sbr_dbr, DbrOptions};
-        for (n, b, nb) in [
-            (96, 8, 16),
-            (96, 8, 32),
-            (67, 8, 16),
-            (128, 16, 64),
-            (50, 4, 12),
-        ] {
-            let a: Mat<f32> = generate(n, MatrixType::Normal, 36).cast();
-            let ctx = GemmContext::new(Engine::Tc).with_trace();
-            let _ = sbr_dbr(
-                &a,
-                &DbrOptions {
-                    bandwidth: b,
-                    block: nb,
-                    panel: PanelKind::Tsqr,
-                    accumulate_q: false,
-                },
-                &ctx,
-            )
-            .expect("sbr reduction");
-            let real = ctx.take_trace();
-            let model = dbr_trace(n, b, nb);
-            assert_eq!(shapes(&real), shapes(&model.gemms), "n={n} b={b} nb={nb}");
-        }
-    }
-
-    #[test]
-    fn dbr_model_engine_matches_real_trace_exactly() {
-        // Full-record equality (engine included): on Sgemm the trailing
-        // syr2k is one native record, on the TC engines two full GEMMs.
-        use crate::sbr_dbr::{sbr_dbr, DbrOptions};
-        for engine in [Engine::Sgemm, Engine::Tc, Engine::EcTc] {
-            let (n, b, nb) = (96, 8, 32);
-            let a: Mat<f32> = generate(n, MatrixType::Normal, 37).cast();
-            let ctx = GemmContext::new(engine).with_trace();
-            let _ = sbr_dbr(
-                &a,
-                &DbrOptions {
-                    bandwidth: b,
-                    block: nb,
-                    panel: PanelKind::Tsqr,
-                    accumulate_q: false,
-                },
-                &ctx,
-            )
-            .expect("sbr reduction");
-            let real = ctx.take_trace();
-            let model = dbr_trace_on(n, b, nb, engine);
-            assert_eq!(real, model.gemms, "engine {engine:?}");
+        for (end, seed) in [(BlockEnd::ThreeGemm, 32), (BlockEnd::Syr2k, 36)] {
+            for (n, b, nb) in [
+                (96, 8, 16),
+                (96, 8, 32),
+                (67, 8, 16),
+                (128, 16, 64),
+                (50, 4, 12),
+            ] {
+                let a: Mat<f32> = generate(n, MatrixType::Normal, seed).cast();
+                let ctx = GemmContext::new(Engine::Tc).with_trace();
+                let _ = sbr_blocked(
+                    &a,
+                    &WyOptions {
+                        bandwidth: b,
+                        block: nb,
+                        panel: PanelKind::Tsqr,
+                        accumulate_q: false,
+                    },
+                    end,
+                    &ctx,
+                )
+                .expect("sbr reduction");
+                let real = ctx.take_trace();
+                let model = blocked_trace_on(n, b, nb, end, Engine::Tc);
+                assert_eq!(
+                    shapes(&real),
+                    shapes(&model.gemms),
+                    "{end:?} n={n} b={b} nb={nb}"
+                );
+            }
         }
     }
 
@@ -406,13 +316,13 @@ mod tests {
         let n = 32768;
         let b = 128;
         for nb in [256usize, 512, 1024, 2048, 4096] {
-            let dbr = dbr_trace(n, b, nb).gemm_flops();
+            let dbr = blocked_trace_on(n, b, nb, BlockEnd::Syr2k, Engine::Tc).gemm_flops();
             let wy = wy_trace(n, b, nb).gemm_flops();
             assert!(dbr < wy, "nb={nb}: DBR {dbr} must be below WY {wy}");
         }
         // and a native-syr2k engine halves the trailing term again
-        let tc = dbr_trace_on(n, b, 1024, Engine::Tc).gemm_flops();
-        let sg = dbr_trace_on(n, b, 1024, Engine::Sgemm).gemm_flops();
+        let tc = blocked_trace_on(n, b, 1024, BlockEnd::Syr2k, Engine::Tc).gemm_flops();
+        let sg = blocked_trace_on(n, b, 1024, BlockEnd::Syr2k, Engine::Sgemm).gemm_flops();
         assert!(sg < tc);
     }
 
@@ -487,23 +397,33 @@ mod tests {
 
     #[test]
     fn wy_model_engine_matches_real_trace_exactly() {
-        let (n, b, nb) = (64, 8, 16);
-        let a: Mat<f32> = generate(n, MatrixType::Normal, 35).cast();
-        let ctx = GemmContext::new(Engine::Sgemm).with_trace();
-        let _ = sbr_wy(
-            &a,
-            &WyOptions {
-                bandwidth: b,
-                block: nb,
-                panel: PanelKind::Tsqr,
-                accumulate_q: false,
-            },
-            &ctx,
-        )
-        .expect("sbr reduction");
-        let real = ctx.take_trace();
-        let model = wy_trace_on(n, b, nb, Engine::Sgemm);
-        assert_eq!(real, model.gemms);
+        // Full-record equality (engine included): with the syr2k block end
+        // the trailing update is one native record on Sgemm and two full
+        // GEMMs on the TC engines.
+        for (end, engine, (n, b, nb), seed) in [
+            (BlockEnd::ThreeGemm, Engine::Sgemm, (64, 8, 16), 35),
+            (BlockEnd::Syr2k, Engine::Sgemm, (96, 8, 32), 37),
+            (BlockEnd::Syr2k, Engine::Tc, (96, 8, 32), 37),
+            (BlockEnd::Syr2k, Engine::EcTc, (96, 8, 32), 37),
+        ] {
+            let a: Mat<f32> = generate(n, MatrixType::Normal, seed).cast();
+            let ctx = GemmContext::new(engine).with_trace();
+            let _ = sbr_blocked(
+                &a,
+                &WyOptions {
+                    bandwidth: b,
+                    block: nb,
+                    panel: PanelKind::Tsqr,
+                    accumulate_q: false,
+                },
+                end,
+                &ctx,
+            )
+            .expect("sbr reduction");
+            let real = ctx.take_trace();
+            let model = blocked_trace_on(n, b, nb, end, engine);
+            assert_eq!(real, model.gemms, "{end:?} engine {engine:?}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub use serve_bench::serve_bench;
 use std::fmt::Write as _;
 use tcevd_band::trace_model::{formw_trace, wy_trace, zy_trace};
 use tcevd_band::{
-    bulge_chase, form_wy, max_outside_band, sbr_dbr, sbr_wy, DbrOptions, PanelKind, WyOptions,
+    bulge_chase, form_wy, max_outside_band, sbr_blocked, sbr_wy, BlockEnd, PanelKind, WyOptions,
 };
 use tcevd_core::{
     backward_error, eigenvalue_error, orthogonality, sym_eig, sym_eigenvalues, sym_eigenvalues_ref,
@@ -571,10 +571,10 @@ pub fn dbr_bench(n: usize, seed: u64) -> String {
     let a: Mat<f32> = a64.cast();
 
     rayon::configure(1);
-    let wy_run = |nb: usize| {
+    let run = |end: BlockEnd, nb: usize| {
         let ctx = GemmContext::new(Engine::Sgemm);
         let t0 = std::time::Instant::now();
-        let r = sbr_wy(
+        let r = sbr_blocked(
             &a,
             &WyOptions {
                 bandwidth: b,
@@ -582,40 +582,28 @@ pub fn dbr_bench(n: usize, seed: u64) -> String {
                 panel: PanelKind::Tsqr,
                 accumulate_q: false,
             },
+            end,
             &ctx,
         )
-        .expect("WY SBR on finite input");
-        (t0.elapsed().as_secs_f64(), r)
-    };
-    let dbr_run = |nb: usize| {
-        let ctx = GemmContext::new(Engine::Sgemm);
-        let t0 = std::time::Instant::now();
-        let r = sbr_dbr(
-            &a,
-            &DbrOptions {
-                bandwidth: b,
-                block: nb,
-                panel: PanelKind::Tsqr,
-                accumulate_q: false,
-            },
-            &ctx,
-        )
-        .expect("DBR SBR on finite input");
+        .expect("blocked SBR on finite input");
         (t0.elapsed().as_secs_f64(), r)
     };
     let min2 = |t_a: f64, t_b: f64| t_a.min(t_b);
 
     // the nb = b WY baseline every sweep point competes against
-    let t_wy_base = min2(wy_run(b).0, wy_run(b).0);
+    let t_wy_base = min2(run(BlockEnd::ThreeGemm, b).0, run(BlockEnd::ThreeGemm, b).0);
 
     let mut entries = Vec::new();
     let mut beats = false;
     let mut bands_ok = true;
     let mut best = (b, f64::INFINITY);
     for nb in [b, 2 * b, 4 * b, 8 * b] {
-        let t_wy = min2(wy_run(nb).0, wy_run(nb).0);
-        let (t_dbr1, r) = dbr_run(nb);
-        let t_dbr = min2(t_dbr1, dbr_run(nb).0);
+        let t_wy = min2(
+            run(BlockEnd::ThreeGemm, nb).0,
+            run(BlockEnd::ThreeGemm, nb).0,
+        );
+        let (t_dbr1, r) = run(BlockEnd::Syr2k, nb);
+        let t_dbr = min2(t_dbr1, run(BlockEnd::Syr2k, nb).0);
         bands_ok &= max_outside_band(r.band.as_ref(), b) == 0.0;
         let speedup = t_wy_base / t_dbr.max(1e-12);
         if nb > b {
@@ -635,9 +623,9 @@ pub fn dbr_bench(n: usize, seed: u64) -> String {
     }
 
     // determinism gate: DBR's band must not move by a bit across pool sizes
-    let band1 = dbr_run(4 * b).1.band;
+    let band1 = run(BlockEnd::Syr2k, 4 * b).1.band;
     rayon::configure(4);
-    let band4 = dbr_run(4 * b).1.band;
+    let band4 = run(BlockEnd::Syr2k, 4 * b).1.band;
     rayon::configure(1);
     let bit_identical = band1.max_abs_diff(&band4) == 0.0;
 

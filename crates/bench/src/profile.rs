@@ -35,18 +35,21 @@ pub struct ProfileRun {
 }
 
 /// Which pipeline stage issued a traced GEMM, by label prefix. The SBR
-/// stage owns every WY/ZY kernel plus the FormW merge and Q accumulation
-/// (all run inside the `"sbr"` stage scope); the back-transformation owns
-/// the `evd_*` lifts and the `backtransform_*` FormW application.
+/// stage owns every WY/DBR/ZY kernel plus Q accumulation (all run inside
+/// the `"sbr"` stage scope); the back-transformation owns the `evd_*`
+/// lifts, the FormW merge of the levels and the `backtransform_*` FormW
+/// application (`Q₁` is formed and applied after the tridiagonal solve).
 fn stage_of(label: &str) -> Option<&'static str> {
     if label.starts_with("wy_")
         || label.starts_with("zy_")
         || label.starts_with("dbr_")
-        || label.starts_with("formw_")
         || label.starts_with("q_acc_")
     {
         Some("sbr")
-    } else if label.starts_with("evd_") || label.starts_with("backtransform_") {
+    } else if label.starts_with("evd_")
+        || label.starts_with("formw_")
+        || label.starts_with("backtransform_")
+    {
         Some("back_transform")
     } else {
         None
@@ -348,6 +351,42 @@ mod tests {
             } else {
                 assert!(mapped.is_some(), "{label} unmapped");
             }
+        }
+    }
+
+    #[test]
+    fn stage_map_prices_each_gemm_in_the_stage_that_ran_it() {
+        // The model prices each traced GEMM in the stage `stage_of` names;
+        // per stage, those flops must add up to what the stage scope
+        // measured. FormW merges the levels after the tridiagonal solve,
+        // inside the back-transform scope.
+        assert_eq!(stage_of("formw_w"), Some("back_transform"));
+        assert_eq!(stage_of("formw_ytw"), Some("back_transform"));
+        let n = 64;
+        let a: Mat<f32> = generate(n, MatrixType::Normal, 5).cast();
+        let sink = TraceSink::enabled();
+        let ctx = GemmContext::new(Engine::Sgemm)
+            .with_trace()
+            .with_sink(sink.clone());
+        let opts = SymEigOptions {
+            bandwidth: 8,
+            sbr: SbrVariant::Wy { block: 16 },
+            vectors: true,
+            trace: true,
+            threads: 1,
+            ..SymEigOptions::default()
+        };
+        sym_eig(&a, &opts, &ctx).expect("profiled pipeline run");
+        let records = ctx.take_trace();
+        for stage in ["sbr", "back_transform"] {
+            let priced: u64 = records
+                .iter()
+                .filter(|r| stage_of(r.label) == Some(stage))
+                .map(GemmRecord::flops)
+                .sum();
+            let measured = sink.counter(&format!("stage.{stage}.flops"));
+            assert!(measured > 0, "{stage}");
+            assert_eq!(priced, measured, "{stage}");
         }
     }
 }

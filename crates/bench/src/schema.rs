@@ -190,6 +190,7 @@ mod tests {
             "../../BENCH_pr4.json",
             "../../BENCH_pr5.json",
             "../../BENCH_pr10.json",
+            "../../BENCH_pr16.json",
         ] {
             let text = std::fs::read_to_string(path).expect(path);
             validate_bench_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));

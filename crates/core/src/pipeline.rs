@@ -47,7 +47,7 @@ use crate::ql::{
 };
 use crate::tridiag::SymTridiag;
 use tcevd_band::{
-    bulge_chase_with, form_wy, sbr_dbr, sbr_wy, sbr_zy, DbrOptions, LevelWy, PanelKind, SbrOptions,
+    bulge_chase_with, form_wy, sbr_blocked, sbr_zy, BlockEnd, LevelWy, PanelKind, SbrOptions,
     WyOptions,
 };
 use tcevd_matrix::{Mat, Op};
@@ -59,6 +59,7 @@ use tcevd_trace::{span, TraceSink};
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SbrVariant {
     /// The paper's WY-based Algorithm 1 with the given big-block size `nb`.
+    /// `block` is validated like [`SbrVariant::Dbr`]'s.
     Wy { block: usize },
     /// Conventional ZY-based SBR (MAGMA-style baseline).
     Zy,
@@ -276,21 +277,21 @@ fn clamp_bandwidth(requested: usize, n: usize) -> usize {
     requested.min(n.saturating_sub(1)).max(1)
 }
 
-/// Validate and clamp the DBR big-block size against the matrix size and
-/// (already-clamped) bandwidth. `0` is rejected as a typed
-/// [`EvdError::InvalidInput`]; any other request is snapped onto the
-/// multiple-of-`b` grid the DBR inner loop actually walks — up to `b` when
-/// `nb < b`, down to the smallest multiple of `b` covering the first
-/// level's trailing matrix when `nb > n − b` (beyond that, extra width
-/// only pads the aggregates without changing a single arithmetic step).
-/// Callers reach this with `n ≥ 3` only: `n ≤ 2` short-circuits to
+/// Validate and clamp the blocked SBR's big-block size (WY and DBR alike)
+/// against the matrix size and (already-clamped) bandwidth. `0` is
+/// rejected as a typed [`EvdError::InvalidInput`]; any other request is
+/// snapped onto the multiple-of-`b` grid the blocked loop actually walks —
+/// up to `b` when `nb < b`, down to the smallest multiple of `b` covering
+/// the first level's trailing matrix when `nb > n − b` (beyond that, extra
+/// width only pads the aggregates without changing a single arithmetic
+/// step). Callers reach this with `n ≥ 3` only: `n ≤ 2` short-circuits to
 /// [`trivial_sym_eig`], where no band reduction runs at all.
-fn validate_dbr_block(block: usize, b: usize, n: usize) -> Result<usize, EvdError> {
+fn validate_block(block: usize, b: usize, n: usize) -> Result<usize, EvdError> {
     if block == 0 {
         return Err(EvdError::InvalidInput {
             detail: format!(
-                "DBR block size nb must be ≥ 1 (got 0 at n = {n}, bandwidth b = {b}); \
-                 nb = b degenerates to the WY variant, nb > b detaches the block size"
+                "SBR block size nb must be ≥ 1 (got 0 at n = {n}, bandwidth b = {b}); \
+                 nb = b updates the trailing matrix after every panel, nb > b defers it"
             ),
         });
     }
@@ -488,14 +489,17 @@ fn run_pipeline(
     let _root_span = span!(sink, entry, n, b);
     check_cancelled(ctx, EvdStage::Input)?;
 
-    // Resolve the SBR configuration up front: the DBR block size is
+    // Resolve the SBR configuration up front: the block size is
     // validated/clamped here once so the byte estimate, stage 1, and a
     // verification re-run all see the same effective `nb`.
     let sbr = match opts.sbr {
-        SbrVariant::Dbr { block } => SbrVariant::Dbr {
-            block: validate_dbr_block(block, b, n)?,
+        SbrVariant::Wy { block } => SbrVariant::Wy {
+            block: validate_block(block, b, n)?,
         },
-        v => v,
+        SbrVariant::Dbr { block } => SbrVariant::Dbr {
+            block: validate_block(block, b, n)?,
+        },
+        SbrVariant::Zy => SbrVariant::Zy,
     };
     if sink.is_enabled() {
         // Device-byte estimate from the MemoryModel (paper §7 footprints).
@@ -700,24 +704,7 @@ fn reduce(
     vectors: bool,
     ctx: &GemmContext,
 ) -> Result<(Mat<f32>, Q1), EvdError> {
-    let from_levels = |levels: Vec<LevelWy>| {
-        if vectors && !levels.is_empty() {
-            Q1::Levels(levels)
-        } else {
-            Q1::Identity
-        }
-    };
-    Ok(match sbr {
-        SbrVariant::Wy { block } => {
-            let wy = WyOptions {
-                bandwidth: b,
-                block,
-                panel,
-                accumulate_q: false,
-            };
-            let r = sbr_wy(a, &wy, ctx)?;
-            (r.band, from_levels(r.levels))
-        }
+    let (block, end) = match sbr {
         SbrVariant::Zy => {
             let zy = SbrOptions {
                 bandwidth: b,
@@ -725,20 +712,25 @@ fn reduce(
                 accumulate_q: vectors,
             };
             let r = sbr_zy(a, &zy, ctx)?;
-            (r.band, r.q.map_or(Q1::Identity, Q1::Dense))
+            return Ok((r.band, r.q.map_or(Q1::Identity, Q1::Dense)));
         }
-        SbrVariant::Dbr { block } => {
-            let dbr = DbrOptions {
-                bandwidth: b,
-                block,
-                panel,
-                accumulate_q: false,
-            };
-            let r = sbr_dbr(a, &dbr, ctx)?;
-            // DBR emits WY-style levels, so FormW serves it unchanged.
-            (r.band, from_levels(r.levels))
-        }
-    })
+        SbrVariant::Wy { block } => (block, BlockEnd::ThreeGemm),
+        SbrVariant::Dbr { block } => (block, BlockEnd::Syr2k),
+    };
+    let opts = WyOptions {
+        bandwidth: b,
+        block,
+        panel,
+        accumulate_q: false,
+    };
+    let r = sbr_blocked(a, &opts, end, ctx)?;
+    // Both block ends emit the same per-level (W, Y), which FormW merges.
+    let q1 = if vectors && !r.levels.is_empty() {
+        Q1::Levels(r.levels)
+    } else {
+        Q1::Identity
+    };
+    Ok((r.band, q1))
 }
 
 /// `opts.trace` routes pipeline stage spans and counters into the
@@ -1326,31 +1318,35 @@ mod tests {
         assert!(res < 1e-3, "residual {res}");
     }
 
+    /// One block-size check for both blocked variants: a zero block is a
+    /// typed error for `Wy` exactly as for `Dbr`.
     #[test]
     fn dbr_zero_block_is_typed_invalid_input() {
         let a: Mat<f32> = generate(16, MatrixType::Normal, 70).cast();
         let ctx = GemmContext::new(Engine::Sgemm);
-        let mut o = opts(4, 8);
-        o.sbr = SbrVariant::Dbr { block: 0 };
-        match sym_eig(&a, &o, &ctx) {
-            Err(EvdError::InvalidInput { detail }) => {
-                assert!(detail.contains("DBR block size"), "{detail}")
+        for sbr in [SbrVariant::Dbr { block: 0 }, SbrVariant::Wy { block: 0 }] {
+            let mut o = opts(4, 8);
+            o.sbr = sbr;
+            match sym_eig(&a, &o, &ctx) {
+                Err(EvdError::InvalidInput { detail }) => {
+                    assert!(detail.contains("SBR block size"), "{sbr:?}: {detail}")
+                }
+                other => panic!("{sbr:?}: expected InvalidInput, got {other:?}"),
             }
-            other => panic!("expected InvalidInput, got {other:?}"),
+            let sel = sym_eig_selected(
+                &a,
+                crate::bisect::EigRange::Index { lo: 0, hi: 4 },
+                &o,
+                &ctx,
+            );
+            assert!(matches!(sel, Err(EvdError::InvalidInput { .. })), "{sbr:?}");
         }
-        let sel = sym_eig_selected(
-            &a,
-            crate::bisect::EigRange::Index { lo: 0, hi: 4 },
-            &o,
-            &ctx,
-        );
-        assert!(matches!(sel, Err(EvdError::InvalidInput { .. })));
     }
 
     /// Satellite check for the detached case: n ∈ {0, 1, 2, 3} must never
     /// silently misbehave. `n ≤ 2` takes the closed-form path before any
     /// block validation (no band reduction runs, so no block is consulted);
-    /// `n = 3` is the smallest size that reaches `validate_dbr_block`, where
+    /// `n = 3` is the smallest size that reaches `validate_block`, where
     /// a zero block is a typed error and any other block clamps.
     #[test]
     fn dbr_tiny_sizes_zero_through_three() {
@@ -1387,34 +1383,41 @@ mod tests {
         }
     }
 
-    /// Out-of-range DBR blocks clamp onto the grid the reduction actually
+    /// Out-of-range blocks clamp onto the grid the reduction actually
     /// walks, bit-identically to the in-range equivalent: `nb < b` snaps up
     /// to `b`, `nb > n − b` snaps down to the first level's full width.
+    /// Holds for both block ends (`Dbr` and `Wy`).
     #[test]
     fn dbr_block_clamping_is_bit_exact() {
         let n = 40;
         let a: Mat<f32> = generate(n, MatrixType::Normal, 72).cast();
         let ctx = GemmContext::new(Engine::Sgemm);
-        let run = |block: usize| {
-            let mut o = opts(4, 8);
-            o.sbr = SbrVariant::Dbr { block };
-            o.vectors = true;
-            sym_eig(&a, &o, &ctx).unwrap()
-        };
-        // nb < b clamps up to b
-        let (lo, at_b) = (run(1), run(4));
-        assert_eq!(lo.values, at_b.values);
-        assert_eq!(
-            lo.vectors.unwrap().max_abs_diff(&at_b.vectors.unwrap()),
-            0.0
-        );
-        // nb ≫ n clamps down to the first level's trailing width (36 here)
-        let (huge, cap) = (run(10_000), run(36));
-        assert_eq!(huge.values, cap.values);
-        assert_eq!(
-            huge.vectors.unwrap().max_abs_diff(&cap.vectors.unwrap()),
-            0.0
-        );
+        let variants: [fn(usize) -> SbrVariant; 2] = [
+            |block| SbrVariant::Dbr { block },
+            |block| SbrVariant::Wy { block },
+        ];
+        for variant in variants {
+            let run = |block: usize| {
+                let mut o = opts(4, 8);
+                o.sbr = variant(block);
+                o.vectors = true;
+                sym_eig(&a, &o, &ctx).unwrap()
+            };
+            // nb < b clamps up to b
+            let (lo, at_b) = (run(1), run(4));
+            assert_eq!(lo.values, at_b.values, "{:?}", variant(1));
+            assert_eq!(
+                lo.vectors.unwrap().max_abs_diff(&at_b.vectors.unwrap()),
+                0.0
+            );
+            // nb ≫ n clamps down to the first level's trailing width (36 here)
+            let (huge, cap) = (run(10_000), run(36));
+            assert_eq!(huge.values, cap.values, "{:?}", variant(10_000));
+            assert_eq!(
+                huge.vectors.unwrap().max_abs_diff(&cap.vectors.unwrap()),
+                0.0
+            );
+        }
     }
 
     #[test]

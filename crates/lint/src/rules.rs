@@ -31,7 +31,6 @@ pub const R3_FILES: &[&str] = &[
     "crates/band/src/common.rs",
     "crates/band/src/formw.rs",
     "crates/band/src/panel.rs",
-    "crates/band/src/sbr_dbr.rs",
     "crates/band/src/sbr_wy.rs",
     "crates/band/src/sbr_zy.rs",
     "crates/core/src/pipeline.rs",
@@ -46,7 +45,6 @@ pub const R7_FILES: &[&str] = &["crates/serve/"];
 /// Pipeline modules whose public functions must return `Result` (R4).
 pub const R4_FILES: &[&str] = &[
     "crates/band/src/formw.rs",
-    "crates/band/src/sbr_dbr.rs",
     "crates/band/src/sbr_wy.rs",
     "crates/band/src/sbr_zy.rs",
     "crates/core/src/pipeline.rs",
@@ -543,7 +541,6 @@ pub fn r8_transitive_panics(units: &[FileUnit], g: &Graph, out: &mut Vec<Diagnos
 /// Files whose loops carry the cancellation-seam contract (R9): the SBR
 /// variants, bulge chasing, the pipeline driver, and the service layer.
 pub const R9_FILES: &[&str] = &[
-    "crates/band/src/sbr_dbr.rs",
     "crates/band/src/sbr_wy.rs",
     "crates/band/src/sbr_zy.rs",
     "crates/band/src/bulge.rs",

@@ -434,15 +434,16 @@ fn syr2k_split(n: usize, k: usize) -> Option<usize> {
 /// Symmetric rank-2k update, lower triangle only:
 /// `C ← alpha·(A·Bᵀ + B·Aᵀ) + beta·C` with A, B of shape n×k.
 ///
-/// This is the `syr2k` the ZY- and DBR-based trailing updates use; Tensor
-/// Cores have no native equivalent, which is exactly the paper's point — on
-/// the TC engine it must be issued as two full outer-product GEMMs.
+/// This is the `syr2k` the ZY trailing update and the blocked SBR's
+/// `BlockEnd::Syr2k` (DBR) block end use; Tensor Cores have no native
+/// equivalent, which is exactly the paper's point — on the TC engine it
+/// must be issued as two full outer-product GEMMs.
 ///
 /// Recursive reshaping: while the output dimension `n` is large relative to
 /// the rank `k`, `C` is split at a [`syr2k_split`] midpoint into two
 /// triangular recursive calls plus one full off-diagonal block computed as
 /// two *near-square* packed GEMMs (`A_lo·B_hiᵀ` then `B_lo·A_hiᵀ`). That
-/// feeds the big trailing updates of the detached band reduction to the
+/// feeds the big block-end updates of the detached band reduction to the
 /// kernel tiers at the shapes they are tuned for, instead of the 64-wide
 /// column strips of the blocked base case. The split point depends only on
 /// `(n, k)`, and each GEMM's internal fan-out is the deterministic

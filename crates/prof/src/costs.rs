@@ -46,7 +46,7 @@ pub const GEMM_COSTS: &[GemmCost] = &[
         label: "zy_z",
         accumulates: true,
     },
-    // WY-based SBR (sbr_wy.rs)
+    // Blocked SBR: shared recursion and the three-GEMM block end (sbr_wy.rs)
     GemmCost {
         label: "wy_acc_w",
         accumulates: true,
@@ -91,37 +91,9 @@ pub const GEMM_COSTS: &[GemmCost] = &[
         label: "wy_inner_x",
         accumulates: true,
     },
-    // Detached band reduction (sbr_dbr.rs)
-    GemmCost {
-        label: "dbr_acc_w",
-        accumulates: true,
-    },
-    GemmCost {
-        label: "dbr_acc_ytw",
-        accumulates: false,
-    },
-    GemmCost {
-        label: "dbr_aw_append",
-        accumulates: false,
-    },
+    // The detached band reduction's syr2k block end (sbr_wy.rs)
     GemmCost {
         label: "dbr_final_v",
-        accumulates: true,
-    },
-    GemmCost {
-        label: "dbr_final_waw",
-        accumulates: false,
-    },
-    GemmCost {
-        label: "dbr_inner_ga",
-        accumulates: true,
-    },
-    GemmCost {
-        label: "dbr_inner_wx",
-        accumulates: false,
-    },
-    GemmCost {
-        label: "dbr_inner_x",
         accumulates: true,
     },
     GemmCost {

@@ -32,7 +32,9 @@ pub const GEMM_LABELS: &[&str] = &[
     "zy_syr2k",
     "zy_waw",
     "zy_z",
-    // tcevd-band: WY-representation SBR, the paper's Algorithm 1 (sbr_wy.rs)
+    // tcevd-band: blocked SBR (sbr_wy.rs) — the panel and next-panel
+    // recursion plus T2 = Wᵀ·T1, shared by both block ends, and the paper's
+    // Algorithm 1 three-GEMM block end
     "wy_acc_w",
     "wy_acc_ytw",
     "wy_aw_append",
@@ -44,15 +46,8 @@ pub const GEMM_LABELS: &[&str] = &[
     "wy_inner_ga",
     "wy_inner_wx",
     "wy_inner_x",
-    // tcevd-band: detached band reduction, nb decoupled from b (sbr_dbr.rs)
-    "dbr_acc_w",
-    "dbr_acc_ytw",
-    "dbr_aw_append",
+    // tcevd-band: the detached band reduction's syr2k block end (sbr_wy.rs)
     "dbr_final_v",
-    "dbr_final_waw",
-    "dbr_inner_ga",
-    "dbr_inner_wx",
-    "dbr_inner_x",
     "dbr_syr2k",
     // tcevd-band: recursive FormW merge + back-transformation (formw.rs)
     "backtransform_wv",
