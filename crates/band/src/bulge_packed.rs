@@ -92,7 +92,8 @@ pub(crate) fn sweep<T: Scalar>(
 ) {
     let n = a.n();
     // Q accumulation is the chase's O(n³) term (the band work is only
-    // O(n²·b)); see `crate::qupdate` for how it is batched.
+    // O(n²·b)); see `crate::qupdate` for how it is batched and how it
+    // skips the rows of Q that are still zero.
     let mut acc = q.map(QAccumulator::new);
     let mut ws = Workspace::new(n, b);
     for j in 0..n.saturating_sub(b_to + 1) {

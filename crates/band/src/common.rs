@@ -1,7 +1,7 @@
 //! Shared types and helpers for the band-reduction drivers.
 
 use crate::panel::PanelKind;
-use tcevd_matrix::{Mat, MatRef};
+use tcevd_matrix::{Mat, MatMut, MatRef};
 use tcevd_tensorcore::GemmContext;
 
 /// Configuration for a successive band reduction run.
@@ -66,6 +66,11 @@ pub fn clip_to_band(a: &mut Mat<f32>, b: usize) {
 /// Average the two triangles to restore exact symmetry (controls roundoff
 /// drift between the two one-sided GEMM updates).
 pub fn symmetrize(a: &mut Mat<f32>) {
+    symmetrize_view(a.as_mut());
+}
+
+/// [`symmetrize`] on a square view.
+pub(crate) fn symmetrize_view(mut a: MatMut<'_, f32>) {
     let n = a.rows();
     for j in 0..n {
         for i in 0..j {
@@ -81,7 +86,7 @@ pub fn symmetrize(a: &mut Mat<f32>) {
 /// on; `w`, `y` are m×k.
 pub fn accumulate_q_right(
     ctx: &GemmContext,
-    q_cols: tcevd_matrix::MatMut<'_, f32>,
+    q_cols: MatMut<'_, f32>,
     w: MatRef<'_, f32>,
     y: MatRef<'_, f32>,
 ) {

@@ -12,9 +12,17 @@
 //! recursively over halves, so the merge GEMMs have inner dimension that
 //! doubles up the tree — 'squeezed' shapes again, which is why the paper
 //! measures the WY back-transformation at 320 ms vs 420 ms for ZY (§4.4).
+//!
+//! The merge runs in place. `W` and `Y` are allocated once as n×K, with
+//! `K` the sum of the level widths, and each level is copied into its own
+//! column block. `Y` is then already the concatenation `[Y_a | Y_b]`, and
+//! each merge overwrites `W_b`'s column block with `W_b − W_a·(Y_aᵀ·W_b)`.
+//! The only other buffer is the merge's `ka×kb` product `t`, so the
+//! workspace is `2·n·K + max ka·kb` elements (on one worker; see
+//! `tcevd_perfmodel::formw_memory`).
 
 use crate::sbr_wy::LevelWy;
-use tcevd_matrix::{Mat, MatRef, Op};
+use tcevd_matrix::{Mat, MatMut, MatRef, Op};
 use tcevd_tensorcore::GemmContext;
 use tcevd_trace::span;
 
@@ -27,68 +35,62 @@ pub fn form_wy(levels: &[LevelWy], n: usize, ctx: &GemmContext) -> (Mat<f32>, Ma
     let sink = ctx.sink();
     let nlevels = levels.len();
     let _span = span!(sink, "formw", n, nlevels);
-    form_rec(levels, n, ctx)
+    let k = levels.iter().map(|l| l.w.cols()).sum();
+    let mut w = Mat::<f32>::zeros(n, k);
+    let mut y = Mat::<f32>::zeros(n, k);
+    form_rec(levels, w.as_mut(), y.as_mut(), ctx);
+    (w, y)
 }
 
-fn form_rec(levels: &[LevelWy], n: usize, ctx: &GemmContext) -> (Mat<f32>, Mat<f32>) {
+/// Merge `levels` into the column blocks `w`, `y` they own: the halves on
+/// disjoint column ranges, then the halves into each other.
+fn form_rec(levels: &[LevelWy], w: MatMut<'_, f32>, y: MatMut<'_, f32>, ctx: &GemmContext) {
     if let [l] = levels {
-        let k = l.w.cols();
-        let mut w = Mat::<f32>::zeros(n, k);
-        let mut y = Mat::<f32>::zeros(n, k);
-        w.view_mut(l.row_offset, 0, l.w.rows(), k)
+        let (rows, k) = (l.w.rows(), l.w.cols());
+        w.into_view(l.row_offset, 0, rows, k)
             .copy_from(l.w.as_ref());
-        y.view_mut(l.row_offset, 0, l.y.rows(), k)
+        y.into_view(l.row_offset, 0, rows, k)
             .copy_from(l.y.as_ref());
-        return (w, y);
+        return;
     }
     let (lo, hi) = levels.split_at(levels.len() / 2);
-    let ((wa, ya), (wb, yb)) = rayon::join(|| form_rec(lo, n, ctx), || form_rec(hi, n, ctx));
-    merge(&wa, &ya, &wb, &yb, ctx)
+    let ka = lo.iter().map(|l| l.w.cols()).sum();
+    let (mut wa, mut wb) = w.split_cols_at(ka);
+    let (mut ya, mut yb) = y.split_cols_at(ka);
+    rayon::join(
+        || form_rec(lo, wa.as_mut(), ya.as_mut(), ctx),
+        || form_rec(hi, wb.as_mut(), yb.as_mut(), ctx),
+    );
+    merge(wa.as_ref(), ya.as_ref(), wb, ctx);
 }
 
-/// `(I − W_a·Y_aᵀ)(I − W_b·Y_bᵀ) = I − [W_a | W_b − W_a(Y_aᵀW_b)]·[Y_a | Y_b]ᵀ`.
-fn merge(
-    wa: &Mat<f32>,
-    ya: &Mat<f32>,
-    wb: &Mat<f32>,
-    yb: &Mat<f32>,
-    ctx: &GemmContext,
-) -> (Mat<f32>, Mat<f32>) {
-    let n = wa.rows();
-    let (ka, kb) = (wa.cols(), wb.cols());
+/// `(I − W_a·Y_aᵀ)(I − W_b·Y_bᵀ) = I − [W_a | W_b − W_a(Y_aᵀW_b)]·[Y_a | Y_b]ᵀ`,
+/// overwriting `W_b` in place.
+fn merge(wa: MatRef<'_, f32>, ya: MatRef<'_, f32>, wb: MatMut<'_, f32>, ctx: &GemmContext) {
     ctx.sink().add("formw_merges", 1);
-    let mut w = Mat::<f32>::zeros(n, ka + kb);
-    let mut y = Mat::<f32>::zeros(n, ka + kb);
-    w.view_mut(0, 0, n, ka).copy_from(wa.as_ref());
-    y.view_mut(0, 0, n, ka).copy_from(ya.as_ref());
-    y.view_mut(0, ka, n, kb).copy_from(yb.as_ref());
-
     // t = Y_aᵀ·W_b (ka×kb)
-    let mut t = Mat::<f32>::zeros(ka, kb);
+    let mut t = Mat::<f32>::zeros(wa.cols(), wb.cols());
     ctx.gemm(
         "formw_ytw",
         1.0,
-        ya.as_ref(),
+        ya,
         Op::Trans,
         wb.as_ref(),
         Op::NoTrans,
         0.0,
         t.as_mut(),
     );
-    // W_b' = W_b − W_a·t
-    let mut wb2 = wb.clone();
+    // W_b ← W_b − W_a·t
     ctx.gemm(
         "formw_w",
         -1.0,
-        wa.as_ref(),
+        wa,
         Op::NoTrans,
         t.as_ref(),
         Op::NoTrans,
         1.0,
-        wb2.as_mut(),
+        wb,
     );
-    w.view_mut(0, ka, n, kb).copy_from(wb2.as_ref());
-    (w, y)
 }
 
 /// Apply `Q_total = I − W·Yᵀ` to a matrix from the left:

@@ -19,6 +19,19 @@
 //! loop structure and skip tests, so the result is bit-identical to
 //! applying each reflector immediately during the chase — for any row
 //! partition and any thread count.
+//!
+//! # Rows that are still zero
+//!
+//! Q starts as the identity, so early in the chase most of each column is
+//! still exactly `+0`. [`QAccumulator`] keeps `top[c]`, a row above which
+//! column `c` of Q is all `+0`, initialised by scanning Q (so a Q that an
+//! earlier sweep already filled stays exact). A reflector on columns
+//! `[s, e)` updates only rows `[r0, n)`, `r0 = min top[s..e)`, and then
+//! sets `top[s..e) = r0`. That skips no arithmetic that could change a
+//! bit: on a row that is `+0` across the span, `w_i = +0` and every entry
+//! stays `+0 − t·(+0) = +0` (for finite `τ·v`, which the chase's finite
+//! band guarantees). Started from the identity, this cuts the accumulation
+//! by about a third.
 
 use tcevd_factor::householder::apply_reflector_right;
 use tcevd_matrix::scalar::Scalar;
@@ -28,6 +41,8 @@ use tcevd_matrix::{Mat, MatMut};
 struct PendingReflector<T> {
     /// First column of the reflector's span in Q.
     s: usize,
+    /// First row it updates: Q is `+0` above it across the span.
+    r0: usize,
     tau: T,
     /// Reflector vector (`v[0] == 1`).
     v: Vec<T>,
@@ -56,34 +71,50 @@ fn batching_pays_off(n: usize) -> bool {
 /// Accumulates a chase's reflectors into Q: immediately on one thread or
 /// below the [`batching_pays_off`] cutoff, otherwise recorded and flushed
 /// in batches through [`apply_pending_to_q`]. Both paths produce identical
-/// bits, so the gate never affects results.
+/// bits, so the gate never affects results. Either path updates only the
+/// rows at or below each reflector's `r0` (see the module docs).
 pub(crate) struct QAccumulator<'q, T> {
     q: &'q mut Mat<T>,
+    /// Column `c` of Q is `+0` in every row above `top[c]`.
+    top: Vec<usize>,
     batched: bool,
     pending: Vec<PendingReflector<T>>,
 }
 
 impl<'q, T: Scalar> QAccumulator<'q, T> {
     pub(crate) fn new(q: &'q mut Mat<T>) -> Self {
-        let batched = batching_pays_off(q.rows());
+        let n = q.rows();
+        let top = (0..q.cols())
+            .map(|c| {
+                q.col(c)
+                    .iter()
+                    .position(|x| x.to_f64().to_bits() != 0)
+                    .unwrap_or(n)
+            })
+            .collect();
         QAccumulator {
+            batched: batching_pays_off(n),
             q,
-            batched,
+            top,
             pending: Vec::new(),
         }
     }
 
     /// `Q ← Q·H` for `H = I − τ·v·vᵀ` acting on columns `[s, s + v.len())`.
     pub(crate) fn push(&mut self, s: usize, tau: T, v: &[T]) {
+        let n = self.q.rows();
+        let span = &mut self.top[s..s + v.len()];
+        let r0 = span.iter().copied().min().unwrap_or(n);
+        span.fill(r0);
         if self.batched {
             self.pending.push(PendingReflector {
                 s,
+                r0,
                 tau,
                 v: v.to_vec(),
             });
-        } else {
-            let n = self.q.rows();
-            apply_reflector_right(tau, v, self.q.view_mut(0, s, n, v.len()));
+        } else if r0 < n {
+            apply_reflector_right(tau, v, self.q.view_mut(r0, s, n - r0, v.len()));
         }
     }
 
@@ -107,7 +138,8 @@ impl<'q, T: Scalar> QAccumulator<'q, T> {
 /// Apply a batch of recorded reflectors to `q` in recorded order, fanning
 /// disjoint row blocks of Q across the thread pool. The batch may span
 /// several chase sweeps, so the touched column range is the union
-/// `[min s, max s + v.len())` over the batch.
+/// `[min s, max s + v.len())` over the batch. Each reflector updates only
+/// the block's rows at or below its `r0`.
 fn apply_pending_to_q<T: Scalar>(q: &mut Mat<T>, pending: &[PendingReflector<T>]) {
     if pending.is_empty() {
         return;
@@ -121,7 +153,9 @@ fn apply_pending_to_q<T: Scalar>(q: &mut Mat<T>, pending: &[PendingReflector<T>]
     // contiguous range — `split_at_mut` per column keeps this safe code.
     let ncols = cend - c0;
     let ntasks = n.div_ceil(Q_ROWS_PER_TASK);
-    let mut tasks: Vec<Vec<&mut [T]>> = (0..ntasks).map(|_| Vec::with_capacity(ncols)).collect();
+    let mut tasks: Vec<(usize, Vec<&mut [T]>)> = (0..ntasks)
+        .map(|t| (t * Q_ROWS_PER_TASK, Vec::with_capacity(ncols)))
+        .collect();
     let mut rem: Option<MatMut<'_, T>> = Some(q.view_mut(0, c0, n, ncols));
     while let Some(cur) = rem.take() {
         let (col, rest) = if cur.cols() > 1 {
@@ -136,7 +170,7 @@ fn apply_pending_to_q<T: Scalar>(q: &mut Mat<T>, pending: &[PendingReflector<T>]
         while !seg.is_empty() {
             let take = Q_ROWS_PER_TASK.min(seg.len());
             let (head, tail) = seg.split_at_mut(take);
-            tasks[t].push(head);
+            tasks[t].1.push(head);
             seg = tail;
             t += 1;
         }
@@ -147,23 +181,26 @@ fn apply_pending_to_q<T: Scalar>(q: &mut Mat<T>, pending: &[PendingReflector<T>]
     // bit-identical for these row-local loops, but selection must stay a
     // pure function of shape + tuning table, never of which worker runs.
     let rk = tcevd_matrix::tile::row_kernels::<T>(Q_ROWS_PER_TASK.min(n));
-    rayon::for_each_chunk(tasks, &|mut cols: Vec<&mut [T]>| {
+    rayon::for_each_chunk(tasks, &|(row0, mut cols): (usize, Vec<&mut [T]>)| {
         let rb = cols.first().map_or(0, |c| c.len());
         let mut w = vec![T::ZERO; rb];
         for refl in pending {
-            for x in w.iter_mut() {
-                *x = T::ZERO;
+            let lo = refl.r0.saturating_sub(row0);
+            if lo >= rb {
+                continue;
             }
+            let w = &mut w[lo..];
+            w.fill(T::ZERO);
             let off = refl.s - c0;
             for (jl, &vj) in refl.v.iter().enumerate() {
                 if vj != T::ZERO {
-                    (rk.acc)(vj, &cols[off + jl][..rb], &mut w);
+                    (rk.acc)(vj, &cols[off + jl][lo..rb], w);
                 }
             }
             for (jl, &vj) in refl.v.iter().enumerate() {
                 let t = refl.tau * vj;
                 if t != T::ZERO {
-                    (rk.sub)(t, &w, &mut cols[off + jl][..rb]);
+                    (rk.sub)(t, w, &mut cols[off + jl][lo..rb]);
                 }
             }
         }
@@ -203,6 +240,7 @@ mod tests {
             }
             reflectors.push(PendingReflector {
                 s,
+                r0: 0,
                 tau: 0.3 + 0.1 * (seed % 7) as f64,
                 v,
             });
@@ -241,6 +279,7 @@ mod tests {
                 v[0] = 1.0;
                 reflectors.push(PendingReflector {
                     s,
+                    r0: 0,
                     tau: 0.2 + 0.1 * (seed % 5) as f64,
                     v,
                 });
@@ -261,6 +300,82 @@ mod tests {
             0.0,
             "cross-sweep batched Q accumulation must be bit-identical"
         );
+    }
+
+    /// Three chase-like sweeps of span-`b` reflectors on an n×n Q, each
+    /// sweep starting one column below the last.
+    fn chase_reflectors(n: usize, b: usize) -> Vec<PendingReflector<f64>> {
+        let mut reflectors = Vec::new();
+        let mut seed = 900;
+        for j in 0..3 {
+            let mut s = j + 1;
+            while s + 1 < n {
+                let len = b.min(n - s);
+                let mut v: Vec<f64> = rand_mat(len, 1, seed).as_slice().to_vec();
+                v[0] = 1.0;
+                if seed % 4 == 0 {
+                    v[len - 1] = 0.0;
+                }
+                reflectors.push(PendingReflector {
+                    s,
+                    r0: 0,
+                    tau: 0.4 + 0.1 * (seed % 6) as f64,
+                    v,
+                });
+                s += b;
+                seed += 1;
+            }
+        }
+        reflectors
+    }
+
+    fn bits(q: &Mat<f64>) -> Vec<u64> {
+        q.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Accumulating through the row bound — immediately and batched — must
+    /// equal full-row application bit for bit, signed zeros included, on
+    /// the identity and on a Q whose upper part mixes `+0`, `−0` and
+    /// non-zero entries.
+    #[test]
+    fn row_bound_matches_full_rows_bitwise() {
+        let n = 300; // not a multiple of Q_ROWS_PER_TASK
+        let reflectors = chase_reflectors(n, 6);
+        let dense = rand_mat(n, n, 13);
+        let mixed = Mat::from_fn(n, n, |i, c| {
+            if i >= c || (i * 7 + c) % 37 == 0 {
+                dense[(i, c)]
+            } else if (i + c) % 5 == 0 {
+                -0.0
+            } else {
+                0.0
+            }
+        });
+        for q0 in [Mat::<f64>::identity(n, n), mixed] {
+            let mut want = q0.clone();
+            for r in &reflectors {
+                apply_reflector_right(r.tau, &r.v, want.view_mut(0, r.s, n, r.v.len()));
+            }
+            for batched in [false, true] {
+                let mut q = q0.clone();
+                let mut acc = QAccumulator::new(&mut q);
+                acc.batched = batched;
+                for r in &reflectors {
+                    acc.push(r.s, r.tau, &r.v);
+                    acc.end_sweep();
+                }
+                acc.finish();
+                assert!(bits(&q) == bits(&want), "batched = {batched}");
+            }
+        }
+        // On the identity the bound engages: the first reflector, on
+        // columns [1, 7), starts at row 1.
+        let mut q = Mat::<f64>::identity(n, n);
+        let mut acc = QAccumulator::new(&mut q);
+        acc.batched = true;
+        let r = &reflectors[0];
+        acc.push(r.s, r.tau, &r.v);
+        assert_eq!(acc.pending[0].r0, 1);
     }
 
     #[test]

@@ -37,8 +37,28 @@
 //! `tcevd_matrix::blas3::syr2k_lower` splits into packed GEMMs. That frees
 //! `nb` from `b`: `b` stays small for cheap bulge chasing while `nb` grows
 //! (the crossover sweep lives in `reproduce dbr`).
+//!
+//! # Workspace
+//!
+//! Each level copies its original trailing matrix `OA` (mp×mp, `mp = m − b`)
+//! and only the panel loop reads it; the block end takes `T1` from the
+//! cached `AW` and updates `a`'s trailing block in place, since the panel
+//! loop writes only the rows and columns above `processed` and leaves
+//! `OA_t` there. `OA` is dropped when the panel loop ends. Later levels also
+//! hold the `(W, Y)` of the levels before them, but a smaller `OA`; at the
+//! sizes `tests/stage_workspace.rs` measures (b = 32, nb = 256) the peak is
+//! the first level's first panel, with these buffers alive:
+//!
+//! * the working copy of the input (n×n);
+//! * `OA` (mp×mp);
+//! * the aggregates `W`, `Y` and `AW` (mp×kmax each, `kmax = min(nb, mp)`);
+//! * the panel temporaries: the factored panel's `W`, `Y` and reduced
+//!   panel, the panel's mirror, and the next-panel update's `X`, its
+//!   written rows and their mirror (seven mp×b blocks), plus `WX` (k×b).
+//!
+//! That test holds the measured peak to this list.
 
-use crate::common::{accumulate_q_right, clip_to_band, symmetrize, SbrResult};
+use crate::common::{accumulate_q_right, clip_to_band, symmetrize, symmetrize_view, SbrResult};
 use crate::panel::{factor_panel_with, PanelKind};
 use tcevd_matrix::{Mat, Op};
 use tcevd_tensorcore::GemmContext;
@@ -330,6 +350,8 @@ pub fn sbr_blocked(
             }
         }
         let processed = i;
+        // Only the panel loop reads OA; the block end takes T1 from AW.
+        drop(oa);
 
         if let Some(q) = q.as_mut() {
             if k > 0 {
@@ -377,14 +399,14 @@ pub fn sbr_blocked(
             t2.as_mut(),
         );
 
-        // M_t ← OA_t − T1_t·Y_tᵀ − Y_t·T1_tᵀ + Y_t·T2·Y_tᵀ
-        // Each arm copies OA_t only when it first writes it: the Tensor-Core
-        // engines allocate rounded operand copies per GEMM, so an earlier
-        // copy would raise the Syr2k end's watermark during `dbr_final_v`.
+        // M_t ← OA_t − T1_t·Y_tᵀ − Y_t·T1_tᵀ + Y_t·T2·Y_tᵀ, in place: the
+        // panel loop writes only rows and columns above `processed`, so
+        // a's trailing block still holds OA_t.
         let mut t1t = t1.view(processed, 0, mt, k).to_owned();
-        let mut m_t = match end {
+        let tail = off + b + processed;
+        let mut m_t = a.view_mut(tail, tail, mt, mt);
+        match end {
             BlockEnd::ThreeGemm => {
-                let mut m_t = oa.submatrix(processed, processed, mt, mt);
                 ctx.gemm(
                     "wy_final_u1",
                     -1.0,
@@ -426,7 +448,6 @@ pub fn sbr_blocked(
                     1.0,
                     m_t.as_mut(),
                 );
-                m_t
             }
             BlockEnd::Syr2k => {
                 // V_t = T1_t − ½·Y_t·T2, in place of the T1_t copy, then
@@ -441,15 +462,10 @@ pub fn sbr_blocked(
                     1.0,
                     t1t.as_mut(),
                 );
-                let mut m_t = oa.submatrix(processed, processed, mt, mt);
                 ctx.syr2k_update("dbr_syr2k", y_t, t1t.as_ref(), m_t.as_mut());
-                m_t
             }
-        };
-
-        symmetrize(&mut m_t);
-        a.view_mut(off + b + processed, off + b + processed, mt, mt)
-            .copy_from(m_t.as_ref());
+        }
+        symmetrize_view(m_t);
 
         off += processed;
     }

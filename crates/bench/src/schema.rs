@@ -189,8 +189,10 @@ mod tests {
         for path in [
             "../../BENCH_pr4.json",
             "../../BENCH_pr5.json",
+            "../../BENCH_pr9.json",
             "../../BENCH_pr10.json",
             "../../BENCH_pr16.json",
+            "../../BENCH_pr17.json",
         ] {
             let text = std::fs::read_to_string(path).expect(path);
             validate_bench_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));

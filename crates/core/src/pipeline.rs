@@ -18,8 +18,13 @@
 //! seam that opens its [`StageScope`] and then gates the boundary:
 //! sanitizer, finiteness, cancellation. Each buffer is dropped after its
 //! last reader: the dense band after the chase, `Q₂` and `Z` after the
-//! `Q₂·Z` product. FormW merges the WY levels only after that product, so
-//! its GEMMs belong to the `back_transform` stage.
+//! `Q₂·Z` product, the WY levels after FormW. FormW merges the levels only
+//! after that product, so its GEMMs belong to the `back_transform` stage.
+//! The stage kernels keep their own buffers lean without changing a bit:
+//! SBR drops each level's copy of the original trailing matrix once the
+//! panel loop ends and updates the trailing block in place, the chase's
+//! `Q₂` accumulation skips the rows of `Q₂` that are still zero, and FormW
+//! merges in place into one n×K `(W, Y)` pair.
 //!
 //! # Robustness
 //!
@@ -668,8 +673,9 @@ impl Q1 {
     fn apply(self, mut x: Mat<f32>, ctx: &GemmContext) -> Mat<f32> {
         match self {
             Q1::Levels(levels) => {
-                // Merge the levels (paper Algorithm 2), then
-                // X ← (I − W·Yᵀ)·X — the FormW back-transformation (§4.4).
+                // Merge the levels in place into one n×K (W, Y) pair (paper
+                // Algorithm 2), drop them, then X ← (I − W·Yᵀ)·X — the
+                // FormW back-transformation (§4.4).
                 let (w, y) = form_wy(&levels, x.rows(), ctx);
                 drop(levels);
                 tcevd_band::apply_q(w.as_ref(), y.as_ref(), &mut x, ctx);

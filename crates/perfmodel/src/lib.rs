@@ -20,7 +20,7 @@ pub mod rates;
 pub mod scenarios;
 
 pub use cost::{A100Model, PanelCost, SbrCost};
-pub use memory::{dbr_memory, overhead_ratio, wy_memory, zy_memory, MemoryFootprint};
+pub use memory::{dbr_memory, formw_memory, overhead_ratio, wy_memory, zy_memory, MemoryFootprint};
 pub use rates::{
     classify, host_f32_gflops, host_f64_gflops, host_peak_gflops, interp_rate, HostTier, ShapeClass,
 };

@@ -67,6 +67,27 @@ pub fn dbr_memory(n: usize, b: usize, nb: usize) -> MemoryFootprint {
     }
 }
 
+/// Bytes of f32 workspace FormW (paper Algorithm 2) holds while merging
+/// levels of aggregated widths `widths` into one `(W, Y)` over n rows: the
+/// n×K outputs `W` and `Y`, `K = Σ widths`, which the merge fills in place,
+/// plus the largest merge's `ka×kb` product `Y_aᵀ·W_b`. The merge tree
+/// halves the level list the way `tcevd_band::form_wy` does. Exact on one
+/// worker; on more, sibling merges can hold their products at once.
+pub fn formw_memory(n: usize, widths: &[usize]) -> u64 {
+    let (k, t) = merge_tree(widths);
+    (2 * (n as u64) * k + t) * F32
+}
+
+/// Total width and largest `ka·kb` product of the merge tree over `widths`.
+fn merge_tree(widths: &[usize]) -> (u64, u64) {
+    if widths.len() <= 1 {
+        return (widths.iter().map(|&w| w as u64).sum(), 0);
+    }
+    let (lo, hi) = widths.split_at(widths.len() / 2);
+    let ((ka, ta), (kb, tb)) = (merge_tree(lo), merge_tree(hi));
+    (ka + kb, (ka * kb).max(ta).max(tb))
+}
+
 /// Memory overhead ratio of WY over ZY.
 pub fn overhead_ratio(n: usize, b: usize, nb: usize) -> f64 {
     wy_memory(n, b, nb).total() as f64 / zy_memory(n, b).total() as f64
@@ -99,6 +120,16 @@ mod tests {
         assert_eq!(dbr.original_copy, wy.original_copy);
         assert_eq!(dbr.wy_factors, wy.wy_factors);
         assert_eq!(dbr.total() - wy.total(), 32768 * 1024 * 4);
+    }
+
+    #[test]
+    fn formw_holds_the_outputs_and_the_root_product() {
+        // n = 1024, b = 32, nb = 256: levels 256, 256, 256, 224; the root
+        // merge multiplies a 512-wide half into a 480-wide one.
+        let bytes = formw_memory(1024, &[256, 256, 256, 224]);
+        assert_eq!(bytes, (2 * 1024 * 992 + 512 * 480) * 4);
+        // one level needs no merge
+        assert_eq!(formw_memory(64, &[8]), 2 * 64 * 8 * 4);
     }
 
     #[test]
