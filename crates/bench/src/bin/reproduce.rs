@@ -4,14 +4,13 @@
 //! reproduce all                 # everything (accuracy tables at default n)
 //! reproduce perf                # model-based tables/figures only (fast)
 //! reproduce table1|table2|fig5|fig6|fig7|fig8|fig9|fig10|fig11|formw
+//! reproduce future|memory|motivation   # model-based side tables
 //! reproduce table3 [--n 512] [--seed 42]
 //! reproduce table4 [--n 512] [--seed 42]
-//! reproduce threads [--n 1024] [--out BENCH_pr4.json]  # thread-scaling smoke
 //! reproduce gemm [--n 1024] [--out BENCH_pr5.json]     # packed-vs-reference GEMM
 //! reproduce dbr [--n 1024] [--out BENCH_pr10.json]     # DBR (nb, b) crossover sweep
 //! reproduce tune [--n 512] [--reps 3] [--out crates/matrix/tuning/default.tune]
 //! reproduce profile [--n 1024] [--out BENCH_profile.json] # perf attribution
-//! reproduce serve [--jobs 100] [--out BENCH_serve.json]   # service throughput
 //! reproduce --trace=out.json [--n 512] [--seed 42]   # traced real run
 //! reproduce --faults=plan.json [--n 512] [--seed 42] # fault-injected run
 //! ```
@@ -155,20 +154,6 @@ fn main() {
         }
         "table3" => print!("{}", bench::table3(n, seed)),
         "table4" => print!("{}", bench::table4(n, seed)),
-        "threads" => {
-            // Thread-scaling smoke defaults to the PR-4 acceptance size.
-            let n = parse_flag(&args, "--n", 1024) as usize;
-            eprintln!("[thread-scaling sym_eig run at n = {n}; use --n to change]");
-            let json = bench::thread_scaling(n, seed);
-            if let Some(path) = parse_path_flag(&args, "out", "BENCH_pr4.json") {
-                if let Err(e) = std::fs::write(&path, &json) {
-                    eprintln!("error: writing {path}: {e}");
-                    std::process::exit(1);
-                }
-                eprintln!("wrote {path}");
-            }
-            print!("{json}");
-        }
         "gemm" => {
             // Packed-vs-reference GEMM smoke at the PR-5 acceptance size.
             let n = parse_flag(&args, "--n", 1024) as usize;
@@ -230,23 +215,9 @@ fn main() {
             }
             print!("{}", run.report);
         }
-        "serve" => {
-            // Service-throughput smoke at the PR-7 acceptance scale.
-            let jobs = parse_flag(&args, "--jobs", 100) as usize;
-            eprintln!("[serve workload: {jobs} jobs + cache resubmissions; use --jobs to change]");
-            let json = bench::serve_bench(jobs, seed);
-            if let Some(path) = parse_path_flag(&args, "out", "BENCH_serve.json") {
-                if let Err(e) = std::fs::write(&path, &json) {
-                    eprintln!("error: writing {path}: {e}");
-                    std::process::exit(1);
-                }
-                eprintln!("wrote {path}");
-            }
-            print!("{json}");
-        }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("known: all perf table1 table2 table3 table4 threads gemm dbr tune profile serve fig5 fig6 fig7 fig8 fig9 fig10 fig11 formw future memory --trace=PATH --faults=PATH");
+            eprintln!("known: all perf table1 table2 table3 table4 gemm dbr tune profile fig5 fig6 fig7 fig8 fig9 fig10 fig11 formw future memory motivation --trace=PATH --faults=PATH");
             std::process::exit(2);
         }
     }

@@ -13,11 +13,9 @@
 
 pub mod profile;
 pub mod schema;
-pub mod serve_bench;
 
 pub use profile::{profile_run, ProfileRun};
 pub use schema::{compare, validate_bench_json};
-pub use serve_bench::serve_bench;
 
 use std::fmt::Write as _;
 use tcevd_band::trace_model::{formw_trace, wy_trace, zy_trace};
@@ -494,63 +492,6 @@ pub fn trace_run(n: usize, seed: u64) -> TraceRun {
         sink_flops,
         ctx_flops,
     }
-}
-
-/// Thread-scaling smoke: wall-clock the full `sym_eig` (with eigenvectors)
-/// at size `n` on a 1-thread and a 4-thread worker pool, check the two
-/// runs agree bit for bit (the pool's determinism contract), and report
-/// the speedup as a small JSON document. This backs `reproduce threads`;
-/// CI writes the output to `BENCH_pr4.json`.
-pub fn thread_scaling(n: usize, seed: u64) -> String {
-    let b = (n / 16).clamp(4, 32);
-    let nb = 4 * b;
-    let a64 = generate(n, MatrixType::Normal, seed);
-    let a: Mat<f32> = a64.cast();
-
-    let run = |threads: usize| {
-        let ctx = GemmContext::new(Engine::Sgemm);
-        let opts = SymEigOptions {
-            bandwidth: b,
-            sbr: SbrVariant::Wy { block: nb },
-            panel: PanelKind::Tsqr,
-            solver: TridiagSolver::DivideConquer,
-            vectors: true,
-            trace: false,
-            recovery: Default::default(),
-            threads,
-        };
-        let t0 = std::time::Instant::now();
-        let r = sym_eig(&a, &opts, &ctx).expect("thread-scaling run");
-        (t0.elapsed().as_secs_f64(), r)
-    };
-    let (t1, r1) = run(1);
-    let (t4, r4) = run(4);
-    let bit_identical = r1.values == r4.values
-        && match (&r1.vectors, &r4.vectors) {
-            (Some(x1), Some(x4)) => x1.max_abs_diff(x4) == 0.0,
-            _ => false,
-        };
-    let speedup = t1 / t4.max(1e-12);
-    // The speedup is only meaningful when the host actually has cores to
-    // fan out to; record the hardware budget so the artifact explains a
-    // ~1.0× result on a single-core runner.
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"thread_scaling\",");
-    let _ = writeln!(out, "  \"n\": {n},");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"dtype\": \"f32\",");
-    let _ = writeln!(out, "  \"threads\": [1, 4],");
-    let _ = writeln!(out, "  \"engine\": \"Sgemm\",");
-    let _ = writeln!(out, "  \"bandwidth\": {b},");
-    let _ = writeln!(out, "  \"available_parallelism\": {hw},");
-    let _ = writeln!(out, "  \"seconds_threads1\": {t1:.6},");
-    let _ = writeln!(out, "  \"seconds_threads4\": {t4:.6},");
-    let _ = writeln!(out, "  \"speedup_4_over_1\": {speedup:.3},");
-    let _ = writeln!(out, "  \"bit_identical\": {bit_identical}");
-    let _ = writeln!(out, "}}");
-    out
 }
 
 /// DBR crossover sweep backing `reproduce dbr` (ROADMAP item 3): at fixed

@@ -338,19 +338,9 @@ mod tests {
     #[test]
     fn stage_map_covers_the_pipeline_labels() {
         use tcevd_tensorcore::labels::GEMM_LABELS;
-        // every pipeline-stage GEMM label maps to a stage; the partial
-        // eigensolvers (lanczos/rand/svd) intentionally fall outside the
-        // full-pipeline attribution
+        // every registered GEMM label maps to a pipeline stage
         for label in GEMM_LABELS {
-            let mapped = stage_of(label);
-            if label.starts_with("lanczos_")
-                || label.starts_with("rand_")
-                || label.starts_with("svd_")
-            {
-                assert_eq!(mapped, None, "{label}");
-            } else {
-                assert!(mapped.is_some(), "{label} unmapped");
-            }
+            assert!(stage_of(label).is_some(), "{label} unmapped");
         }
     }
 

@@ -28,15 +28,10 @@ pub mod error;
 pub mod fault;
 pub mod inverse_iter;
 pub mod jacobi;
-pub mod lanczos;
 pub mod metrics;
 pub mod pipeline;
-pub mod polar;
 pub mod ql;
-pub mod randomized;
 pub mod reference;
-pub mod refine;
-pub mod svd;
 pub mod tridiag;
 
 pub use bisect::{tridiag_eig_bisect, EigRange};
@@ -44,19 +39,14 @@ pub use dc::{rank1_update, tridiag_eig_dc, tridiag_eig_dc_with};
 pub use error::{EvdError, EvdStage};
 pub use inverse_iter::{tridiag_eig_selected, tridiag_inverse_iteration};
 pub use jacobi::jacobi_eig;
-pub use lanczos::{block_lanczos, LanczosOptions};
 pub use metrics::{backward_error, eigenpair_residual, eigenvalue_error, orthogonality};
 pub use pipeline::{
     sym_eig, sym_eig_selected, sym_eigenvalues, RecoveryPolicy, SbrVariant, SymEigOptions,
     SymEigResult, TridiagSolver,
 };
-pub use polar::{abs_eigenvalues_via_polar, polar_newton, Polar};
 pub use ql::{
     tridiag_eig_ql, tridiag_eig_ql_budget_with, tridiag_eig_ql_with, tridiag_eigenvalues,
     tridiag_eigenvalues_budget_with, tridiag_eigenvalues_with, EigError, DEFAULT_MAX_ITER,
 };
-pub use randomized::{randomized_eig, RandomizedOptions};
 pub use reference::{sym_eig_ref, sym_eigenvalues_ref, tridiagonalize};
-pub use refine::{eigenpair_residuals_f64, refine_eigenvalues_rayleigh};
-pub use svd::{low_rank_approx, singular_values, svd_via_evd, Svd};
 pub use tridiag::SymTridiag;

@@ -19,19 +19,15 @@
 
 #![deny(clippy::unwrap_used)]
 
-pub mod cholesky;
 pub mod fault;
 pub mod householder;
 pub mod lu;
-pub mod ormqr;
 pub mod qr;
 pub mod reconstruct;
 pub mod tsqr;
 
-pub use cholesky::{cholesky_solve, potf2, potrf, NotPositiveDefinite};
 pub use householder::{apply_reflector_left, apply_reflector_right, larfg};
-pub use lu::{invert, lu_nopivot, lu_partial_pivot, lu_solve, LuError};
-pub use ormqr::ormqr;
+pub use lu::{lu_nopivot, lu_partial_pivot, LuError};
 pub use qr::{geqr2, geqrf, larft, orgqr, wy_from_packed, QrFactors};
 pub use reconstruct::{
     panel_qr_tsqr, panel_qr_tsqr_with, reconstruct_wy, reconstruct_wy_pivoted, PanelWy,

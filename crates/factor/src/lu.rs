@@ -2,9 +2,9 @@
 //!
 //! The WY-reconstruction algorithm (paper §5.2, after Ballard et al.) needs
 //! an LU factorization *without pivoting* — the matrix `S − Q₁` it factors
-//! is provably such that non-pivoted LU exists and is stable. A
-//! partial-pivoting variant is provided as well for general use and for
-//! cross-checking.
+//! is provably such that non-pivoted LU exists and is stable. The
+//! partial-pivoting variant backs `reconstruct_wy_pivoted`, the panel
+//! recovery ladder's fallback when a non-pivoted pivot degenerates.
 
 use tcevd_matrix::blas1::axpy;
 use tcevd_matrix::scalar::Scalar;
@@ -188,56 +188,6 @@ pub fn lu_partial_pivot<T: Scalar>(a: &mut Mat<T>) -> Result<Vec<usize>, LuError
     Ok(piv)
 }
 
-/// Solve `A·x = b` (multiple right-hand sides, in place) from a
-/// partial-pivot factorization: apply the row permutation, then forward and
-/// backward substitution.
-pub fn lu_solve<T: Scalar>(packed: &Mat<T>, piv: &[usize], b: &mut Mat<T>) {
-    use tcevd_matrix::blas3::{trsm, Side};
-    use tcevd_matrix::Op;
-    let n = packed.rows();
-    assert_eq!(packed.cols(), n);
-    assert_eq!(b.rows(), n);
-    // permute rows of b: row i of the permuted RHS is row piv[i] of b
-    let orig = b.clone();
-    for i in 0..n {
-        if piv[i] != i {
-            for j in 0..b.cols() {
-                b[(i, j)] = orig[(piv[i], j)];
-            }
-        }
-    }
-    trsm(
-        Side::Left,
-        T::ONE,
-        packed.as_ref(),
-        Op::NoTrans,
-        true,
-        true,
-        b.as_mut(),
-    );
-    trsm(
-        Side::Left,
-        T::ONE,
-        packed.as_ref(),
-        Op::NoTrans,
-        false,
-        false,
-        b.as_mut(),
-    );
-}
-
-/// Dense inverse via partial-pivot LU — the substrate the scaled-Newton
-/// polar iteration (paper related work §2.2) leans on.
-pub fn invert<T: Scalar>(a: &Mat<T>) -> Result<Mat<T>, LuError> {
-    let n = a.rows();
-    assert!(a.is_square());
-    let mut packed = a.clone();
-    let piv = lu_partial_pivot(&mut packed)?;
-    let mut inv = Mat::<T>::identity(n, n);
-    lu_solve(&packed, &piv, &mut inv);
-    Ok(inv)
-}
-
 /// Reassemble `L·U` from a packed (non-pivoted) factorization — test helper
 /// and invariant checker.
 pub fn lu_reconstruct<T: Scalar>(packed: &Mat<T>) -> Mat<T> {
@@ -408,44 +358,14 @@ mod tests {
     }
 
     #[test]
-    fn lu_solve_round_trip() {
-        let a = rand_mat(9, 9, 20);
-        let mut p = a.clone();
-        let piv = lu_partial_pivot(&mut p).unwrap();
-        let x_true = rand_mat(9, 3, 21);
-        let b = tcevd_matrix::blas3::matmul(
-            a.as_ref(),
-            tcevd_matrix::Op::NoTrans,
-            x_true.as_ref(),
-            tcevd_matrix::Op::NoTrans,
-        );
-        let mut x = b.clone();
-        lu_solve(&p, &piv, &mut x);
-        assert!(x.max_abs_diff(&x_true) < 1e-10);
-    }
-
-    #[test]
-    fn inverse_satisfies_identity() {
-        let a = rand_mat(10, 10, 22);
-        let inv = invert(&a).unwrap();
-        let prod = tcevd_matrix::blas3::matmul(
-            a.as_ref(),
-            tcevd_matrix::Op::NoTrans,
-            inv.as_ref(),
-            tcevd_matrix::Op::NoTrans,
-        );
-        assert!(prod.max_abs_diff(&Mat::identity(10, 10)) < 1e-10);
-    }
-
-    #[test]
-    fn invert_singular_fails() {
+    fn partial_pivot_singular_fails() {
         let mut a = rand_mat(6, 6, 23);
         // make column 3 a copy of column 1 → singular
         for i in 0..6 {
             let v = a[(i, 1)];
             a[(i, 3)] = v;
         }
-        assert!(invert(&a).is_err());
+        assert!(lu_partial_pivot(&mut a).is_err());
     }
 
     #[test]

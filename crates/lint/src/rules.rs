@@ -48,7 +48,6 @@ pub const R4_FILES: &[&str] = &[
     "crates/band/src/sbr_wy.rs",
     "crates/band/src/sbr_zy.rs",
     "crates/core/src/pipeline.rs",
-    "crates/core/src/svd.rs",
     "crates/factor/src/reconstruct.rs",
 ];
 

@@ -1,4 +1,4 @@
-// lint-fixture-path: crates/core/src/svd.rs
+// lint-fixture-path: crates/core/src/pipeline.rs
 //! R4 fixture: Result-returning public surface.
 
 pub fn good(a: MatRef<f32>) -> Result<Vec<f32>, EvdError> {

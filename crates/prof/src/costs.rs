@@ -139,61 +139,6 @@ pub const GEMM_COSTS: &[GemmCost] = &[
         label: "evd_sel_q2z",
         accumulates: false,
     },
-    // Lanczos partial eigensolver (core/lanczos.rs)
-    GemmCost {
-        label: "lanczos_av",
-        accumulates: false,
-    },
-    GemmCost {
-        label: "lanczos_avk",
-        accumulates: false,
-    },
-    GemmCost {
-        label: "lanczos_deflate",
-        accumulates: true,
-    },
-    GemmCost {
-        label: "lanczos_lift",
-        accumulates: false,
-    },
-    GemmCost {
-        label: "lanczos_proj",
-        accumulates: false,
-    },
-    GemmCost {
-        label: "lanczos_project",
-        accumulates: false,
-    },
-    // Randomized eigensolver (core/randomized.rs)
-    GemmCost {
-        label: "rand_aq",
-        accumulates: false,
-    },
-    GemmCost {
-        label: "rand_lift",
-        accumulates: false,
-    },
-    GemmCost {
-        label: "rand_power",
-        accumulates: false,
-    },
-    GemmCost {
-        label: "rand_project",
-        accumulates: false,
-    },
-    GemmCost {
-        label: "rand_sketch",
-        accumulates: false,
-    },
-    // SVD via Gram EVD (core/svd.rs)
-    GemmCost {
-        label: "svd_av",
-        accumulates: false,
-    },
-    GemmCost {
-        label: "svd_gram",
-        accumulates: false,
-    },
 ];
 
 /// Registry entry for `label`, if any.

@@ -4,8 +4,8 @@
 //!
 //! The measurement substrate for every performance claim the repo makes:
 //!
-//! * **static cost registry** ([`mod@costs`]) — flop/byte formulas for all
-//!   37 `GEMM_LABELS` entries plus the panel/TSQR and bulge-chase kernels,
+//! * **static cost registry** ([`mod@costs`]) — flop/byte formulas for
+//!   every `GEMM_LABELS` entry plus the panel/TSQR and bulge-chase kernels,
 //!   mirroring the runtime counters `GemmContext` tallies (lint rule R6
 //!   enforces coverage);
 //! * **stage scopes** ([`StageScope`]) — RAII seams the pipeline wraps

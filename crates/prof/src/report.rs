@@ -292,7 +292,7 @@ mod tests {
         let b = Mat::<f32>::from_fn(24, 16, |i, j| ((i + 3 * j) % 7) as f32 - 3.0);
         let mut c = Mat::<f32>::zeros(40, 16);
         ctx.gemm(
-            "svd_av",
+            "evd_q2z",
             1.0,
             a.as_ref(),
             Op::NoTrans,
@@ -319,7 +319,7 @@ mod tests {
         let (_ctx, sink) = traced_run();
         let rows = label_reports(&sink);
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].label, "svd_av");
+        assert_eq!(rows[0].label, "evd_q2z");
         assert_eq!(rows[0].calls, 1);
         assert_eq!(rows[0].flops, 2 * 40 * 16 * 24);
         assert_eq!(rows[0].bytes, crate::costs::gemm_bytes(40, 16, 24, false));
@@ -358,7 +358,7 @@ mod tests {
         let rows = label_reports(&sink);
         let text = roofline_text(Engine::Tc, &rows);
         assert!(text.contains("peak 140.85 TFLOPS"));
-        assert!(text.contains("svd_av"));
+        assert!(text.contains("evd_q2z"));
         // small-k GEMMs sit far below the ridge
         assert!(text.contains("memory-bound"));
         // the measured software ceiling is quoted alongside the model's

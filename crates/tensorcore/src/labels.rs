@@ -61,22 +61,6 @@ pub const GEMM_LABELS: &[&str] = &[
     "evd_q1x",
     "evd_q2z",
     "evd_sel_q2z",
-    // tcevd-core: block Lanczos (lanczos.rs)
-    "lanczos_av",
-    "lanczos_avk",
-    "lanczos_deflate",
-    "lanczos_lift",
-    "lanczos_proj",
-    "lanczos_project",
-    // tcevd-core: randomized sketching (randomized.rs)
-    "rand_aq",
-    "rand_lift",
-    "rand_power",
-    "rand_project",
-    "rand_sketch",
-    // tcevd-core: SVD via the symmetric EVD (svd.rs)
-    "svd_av",
-    "svd_gram",
 ];
 
 /// Whether `label` is a registered GEMM step label.

@@ -60,6 +60,7 @@ fn run_with_threads(
     seed: u64,
     n: usize,
     threads: usize,
+    bandwidth: usize,
     sbr: SbrVariant,
     panel: PanelKind,
     solver: TridiagSolver,
@@ -74,7 +75,7 @@ fn run_with_threads(
             trace: true,
             recovery: Default::default(),
             threads,
-            bandwidth: 8,
+            bandwidth,
             sbr,
             panel,
             solver,
@@ -100,13 +101,14 @@ fn run_with_threads(
 fn assert_thread_invariant(
     seed: u64,
     n: usize,
+    bandwidth: usize,
     sbr: SbrVariant,
     panel: PanelKind,
     solver: TridiagSolver,
 ) {
-    let (v1, x1, c1) = run_with_threads(seed, n, 1, sbr, panel, solver);
-    let (v4, x4, c4) = run_with_threads(seed, n, 4, sbr, panel, solver);
-    let tag = format!("{sbr:?}/{panel:?}/{solver:?} n={n}");
+    let (v1, x1, c1) = run_with_threads(seed, n, 1, bandwidth, sbr, panel, solver);
+    let (v4, x4, c4) = run_with_threads(seed, n, 4, bandwidth, sbr, panel, solver);
+    let tag = format!("{sbr:?}/{panel:?}/{solver:?} n={n} b={bandwidth}");
     assert_eq!(v1, v4, "{tag}: eigenvalues must not depend on thread count");
     assert_eq!(
         x1, x4,
@@ -146,6 +148,7 @@ fn thread_count_is_invisible_wy_tsqr_dc() {
     assert_thread_invariant(
         7,
         96,
+        8,
         SbrVariant::Wy { block: 32 },
         PanelKind::Tsqr,
         TridiagSolver::DivideConquer,
@@ -157,6 +160,7 @@ fn thread_count_is_invisible_zy_householder_ql() {
     assert_thread_invariant(
         9,
         96,
+        8,
         SbrVariant::Zy,
         PanelKind::Householder,
         TridiagSolver::Ql,
@@ -168,6 +172,7 @@ fn thread_count_is_invisible_dbr_tsqr_dc() {
     assert_thread_invariant(
         11,
         96,
+        8,
         SbrVariant::Dbr { block: 32 },
         PanelKind::Tsqr,
         TridiagSolver::DivideConquer,
@@ -181,6 +186,7 @@ fn thread_count_is_invisible_dbr_detached_block() {
     assert_thread_invariant(
         17,
         300,
+        8,
         SbrVariant::Dbr { block: 64 },
         PanelKind::Tsqr,
         TridiagSolver::DivideConquer,
@@ -195,7 +201,21 @@ fn thread_count_is_invisible_on_the_batched_q_path() {
     assert_thread_invariant(
         13,
         300,
+        8,
         SbrVariant::Wy { block: 32 },
+        PanelKind::Tsqr,
+        TridiagSolver::DivideConquer,
+    );
+}
+
+#[test]
+fn thread_count_is_invisible_at_n1024_b32() {
+    // the only configuration here with b > 8, at nb = 4b
+    assert_thread_invariant(
+        42,
+        1024,
+        32,
+        SbrVariant::Wy { block: 128 },
         PanelKind::Tsqr,
         TridiagSolver::DivideConquer,
     );

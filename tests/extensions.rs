@@ -1,11 +1,11 @@
 //! Integration tests for the beyond-the-paper extensions: Jacobi
-//! cross-check, mixed-precision refinement, packed stage-2, selected
+//! cross-check, packed stage-2, selected
 //! eigenpairs, native TC syr2k, TF32 engine, and failure injection.
 
 use tcevd::band::{bulge_chase, bulge_chase_packed, sbr_wy, PanelKind, SymBand, WyOptions};
 use tcevd::evd::{
-    jacobi_eig, refine_eigenvalues_rayleigh, sym_eig, sym_eig_selected, sym_eigenvalues,
-    sym_eigenvalues_ref, EigRange, SbrVariant, SymEigOptions, TridiagSolver,
+    jacobi_eig, sym_eig, sym_eig_selected, sym_eigenvalues, sym_eigenvalues_ref, EigRange,
+    SbrVariant, SymEigOptions, TridiagSolver,
 };
 use tcevd::matrix::{Mat, Op};
 use tcevd::tensorcore::{tc_gemm, tc_syr2k, Engine, GemmContext};
@@ -37,31 +37,6 @@ fn jacobi_cross_checks_the_pipeline() {
     for (p, j) in pipe.iter().zip(jac.iter()) {
         assert!((p - j).abs() < 5e-5 * scale, "{p} vs {j}");
     }
-}
-
-#[test]
-fn rayleigh_refinement_recovers_digits_end_to_end() {
-    let n = 80;
-    let a64 = generate(n, MatrixType::Normal, 302);
-    let a: Mat<f32> = a64.cast();
-    let ctx = GemmContext::new(Engine::Tc);
-    let r = sym_eig(&a, &opts(8, 32, true), &ctx).unwrap();
-    let reference = sym_eigenvalues_ref(&a64).unwrap();
-
-    let worst = |vals: &[f64]| -> f64 {
-        vals.iter()
-            .zip(reference.iter())
-            .map(|(v, w)| (v - w).abs())
-            .fold(0.0, f64::max)
-    };
-    let raw: Vec<f64> = r.values.iter().map(|&v| v as f64).collect();
-    let refined = refine_eigenvalues_rayleigh(&a64, r.vectors.as_ref().unwrap().as_ref());
-    assert!(
-        worst(&refined) < worst(&raw) / 10.0,
-        "raw {:e} refined {:e}",
-        worst(&raw),
-        worst(&refined)
-    );
 }
 
 #[test]

@@ -1,12 +1,15 @@
 //! Service-boundary integration suite for `tcevd-serve`: input validation,
 //! admission control and priority-aware shedding, the results cache,
 //! overload degradation, deadlines, and the Prometheus export of the
-//! `serve.*` counter families. Everything runs in the deterministic
-//! `workers: 0` mode — jobs execute only inside `run_pending()` on the
-//! test thread.
+//! `serve.*` counter families. Everything but one test runs in the
+//! deterministic `workers: 0` mode — jobs execute only inside
+//! `run_pending()` on the test thread. The exception drives a live
+//! 4-worker service and checks that its counters stay exact.
 
 use std::time::Duration;
 
+use tcevd::band::PanelKind;
+use tcevd::evd::{SbrVariant, SymEigOptions, TridiagSolver};
 use tcevd::matrix::Mat;
 use tcevd::serve::{EvdError, EvdService, JobSpec, JobState, Priority, ServeConfig};
 use tcevd::tensorcore::Engine;
@@ -111,6 +114,75 @@ fn results_cache_serves_repeat_submissions_without_compute() {
     let m = service.metrics();
     assert_eq!(m.counter("serve.cache_hit"), 1);
     assert_eq!(m.counter("serve.cache_miss"), 2);
+}
+
+#[test]
+fn live_workers_count_a_mixed_workload_exactly() {
+    // Sizes cycle through three batched ones and 96, which is over
+    // `small_cutoff` and shards onto the worker pool. All unique jobs are
+    // waited on before every fifth is resubmitted, so each resubmission
+    // hits the cache and no counter depends on scheduling.
+    const SIZES: [usize; 4] = [32, 48, 64, 96];
+    let jobs = 20;
+    let service = EvdService::new(ServeConfig {
+        engine: Engine::Tc,
+        workers: 4,
+        // room for every job, so admission control never sheds
+        queue_capacity: jobs + 8,
+        cache_capacity: jobs,
+        small_cutoff: 64,
+        batch: 4,
+        threads_large: 2,
+        backoff_base: Duration::from_millis(1),
+        ..ServeConfig::default()
+    });
+    let opts = SymEigOptions {
+        bandwidth: 8,
+        sbr: SbrVariant::Wy { block: 32 },
+        panel: PanelKind::Tsqr,
+        solver: TridiagSolver::DivideConquer,
+        vectors: true,
+        ..SymEigOptions::default()
+    };
+    let submit = |name: String, i: usize| {
+        let spec = JobSpec::new(name, sym(SIZES[i % SIZES.len()], 7 + i as u64)).with_opts(opts);
+        service.submit(spec).expect("admitted")
+    };
+
+    let unique: Vec<_> = (0..jobs).map(|i| submit(format!("job-{i}"), i)).collect();
+    for &h in &unique {
+        service.wait(h).expect("unique job computes");
+    }
+    let repeats: Vec<_> = (0..jobs)
+        .step_by(5)
+        .map(|i| submit(format!("repeat-{i}"), i))
+        .collect();
+    for &h in &repeats {
+        service.wait(h).expect("resubmission is served");
+    }
+    for &h in unique.iter().chain(&repeats) {
+        assert_eq!(service.poll(h), Some(JobState::Done));
+    }
+
+    let m = service.metrics();
+    assert_eq!(m.counter("serve.jobs_submitted"), 24);
+    assert_eq!(m.counter("serve.jobs_completed"), 24);
+    assert_eq!(m.counter("serve.cache_hit"), 4);
+    assert_eq!(m.counter("serve.cache_miss"), 20);
+    assert_eq!(m.counter("serve.jobs_failed"), 0);
+    assert_eq!(m.counter("serve.jobs_shed"), 0);
+
+    let mut latencies: Vec<Duration> = unique
+        .iter()
+        .filter_map(|&h| service.job_latency(h))
+        .collect();
+    latencies.sort();
+    let percentile = |pct: usize| latencies[(latencies.len() * pct / 100).min(latencies.len() - 1)];
+    let (p50, p99) = (percentile(50), percentile(99));
+    assert!(
+        p50 > Duration::ZERO && p99 >= p50,
+        "p50 {p50:?} p99 {p99:?}"
+    );
 }
 
 #[test]
