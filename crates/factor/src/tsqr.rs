@@ -17,7 +17,19 @@ use tcevd_matrix::{Mat, MatRef, Op};
 use tcevd_trace::{span, TraceSink};
 
 /// Minimum rows per leaf before recursion stops (≥ 2·cols keeps leaves tall).
-const MIN_LEAF_ROWS: usize = 64;
+///
+/// Chosen by measurement, and a function of the shape only (never of the
+/// thread count, so the tree — and every bit of `Q` and `R` — is the same
+/// at any pool size). Each tree level adds a `2n×n` QR, two `Q` products
+/// and copies, about `2mn²` flops per level; a flat Householder leaf costs
+/// none of that. On one Sapphire Rapids core (f32, n = 32), every SBR panel
+/// of an n = 1024, b = 32 reduction (m = 992, 960, …, 32) took 0.080 s in
+/// total at a 64-row leaf, 0.061 s at 128, 0.043 s at 256, 0.035 s at 512
+/// and 0.029 s at 1024, where every one of those panels is a single leaf.
+/// Taller panels still split, which keeps independent leaves for
+/// `rayon::join` on multi-core hosts; on one core that split costs 25% over
+/// a flat leaf at 2048×32, nothing at 4096×32 and 40% at 16384×32.
+const MIN_LEAF_ROWS: usize = 1024;
 
 /// Tall-skinny QR: returns `(Q, R)` with `Q` the explicit thin m×n
 /// orthonormal factor and `R` upper triangular n×n, `A = Q·R`.
@@ -157,20 +169,35 @@ mod tests {
         check_tsqr(48, 8, 1, 1e-13);
     }
 
+    /// Leaves in the tree of an m×n panel, counted through the trace sink.
+    fn leaves(m: usize, n: usize) -> u64 {
+        let sink = TraceSink::enabled();
+        let _ = tsqr_with(rand_mat(m, n, 9).as_ref(), &sink);
+        sink.counter("tsqr_leaves")
+    }
+
+    #[test]
+    fn leaf_count_follows_the_leaf_height() {
+        assert_eq!(leaves(MIN_LEAF_ROWS, 32), 1);
+        assert_eq!(leaves(MIN_LEAF_ROWS + 1, 32), 2);
+        assert_eq!(leaves(4500, 32), 8);
+    }
+
     #[test]
     fn one_level_tree() {
-        check_tsqr(200, 16, 2, 1e-13);
+        check_tsqr(1500, 16, 2, 1e-13);
     }
 
     #[test]
     fn deep_tree() {
-        check_tsqr(2048, 32, 3, 1e-13);
+        // 4500 → 2250 → 1125 → 562/563: three levels, eight leaves
+        check_tsqr(4500, 32, 3, 1e-13);
     }
 
     #[test]
     fn ragged_split_sizes() {
-        check_tsqr(333, 7, 4, 1e-13);
-        check_tsqr(129, 5, 5, 1e-13);
+        check_tsqr(2333, 7, 4, 1e-13);
+        check_tsqr(1029, 5, 5, 1e-13);
     }
 
     #[test]
@@ -192,7 +219,7 @@ mod tests {
 
     #[test]
     fn r_matches_direct_qr_up_to_signs() {
-        let a = rand_mat(300, 10, 8);
+        let a = rand_mat(2100, 10, 8);
         let (_, r_tree) = tsqr(a.as_ref());
         let mut p = a.clone();
         let _tau = geqr2(p.as_mut());

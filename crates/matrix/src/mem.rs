@@ -13,6 +13,12 @@
 //! *views* of pre-allocated storage, never fresh `Mat`s), so the recorded
 //! peak is deterministic at any worker-pool size — `tests/determinism.rs`
 //! holds the pipeline to that.
+//!
+//! Because the counters are process-wide, a test that compares two reads
+//! of them is only valid while no other test in the same process frees a
+//! buffer or resets the peak in between. The watermark's own tests live in
+//! their own test binary (`tests/mem_watermark.rs`) and hold one lock, so
+//! nothing else allocates beside them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -48,47 +54,4 @@ pub fn reset_peak() -> u64 {
     let now = CURRENT.load(Ordering::Relaxed);
     PEAK.store(now, Ordering::Relaxed);
     now
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::Mat;
-
-    // Assertions stay valid under concurrent allocation from sibling tests:
-    // while a buffer is alive its contribution is part of CURRENT, and every
-    // other test's contributions are non-negative.
-
-    #[test]
-    fn live_matrices_are_visible_in_the_counters() {
-        const BYTES: u64 = 1024 * 1024 * 4; // 1024×1024 f32
-        let m = Mat::<f32>::zeros(1024, 1024);
-        assert!(current_bytes() >= BYTES);
-        assert!(peak_bytes() >= BYTES);
-        assert!(peak_bytes() >= current_bytes() || peak_bytes() >= BYTES);
-        drop(m);
-    }
-
-    #[test]
-    fn clone_and_drop_balance() {
-        let m = Mat::<f64>::zeros(256, 256);
-        let before = current_bytes();
-        let c = m.clone();
-        assert!(current_bytes() >= before); // the clone's buffer is counted
-        drop(c);
-        drop(m);
-    }
-
-    #[test]
-    fn reset_peak_restarts_from_live_bytes() {
-        {
-            let _big = Mat::<f32>::zeros(512, 512);
-        }
-        let live = reset_peak();
-        assert!(peak_bytes() >= live);
-        // a fresh allocation raises the new epoch's watermark again
-        let m = Mat::<f32>::zeros(512, 512);
-        assert!(peak_bytes() >= live + 512 * 512 * 4);
-        drop(m);
-    }
 }

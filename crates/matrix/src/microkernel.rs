@@ -10,15 +10,26 @@
 //! the old loop nest.
 //!
 //! Everything here is safe Rust: the hot loops use const-length slice
-//! windows so bounds checks hoist and the autovectorizer fires. Per-type
-//! MR/NR choices live on [`crate::scalar::Scalar`]
-//! (`GEMM_MR`/`GEMM_NR`), which dispatches to a monomorphized instance of
-//! [`microkernel`] per scalar type.
+//! windows so bounds checks hoist and the autovectorizer fires. The tier
+//! dispatcher ([`crate::tile::kernel_for`]) owns the finite set of
+//! monomorphized instances.
 //!
-//! **Determinism contract:** the accumulation order — `k` ascending, then
-//! tile column, then tile row — is a pure function of the call arguments.
-//! [`crate::blas3::gemm`] relies on this (together with its fixed column
-//! partition) for bit-identical results at every thread count.
+//! **Determinism contract:** every accumulator element takes one fused
+//! multiply-add per `k` step — `acc = fma(a, b, acc)`, a single rounding
+//! through [`Scalar::mul_add`] — with `k` ascending; the finished
+//! accumulator is then added to C as `c + alpha·acc` (two roundings). The
+//! order is a pure function of the call arguments, and IEEE fma is
+//! correctly rounded, so the bits do not depend on the target's vector
+//! width or on whether the FMA is a hardware instruction or a libm call.
+//! [`crate::blas3::gemm`] relies on this (together with its fixed
+//! column partition) for bit-identical results at every thread count.
+//!
+//! The Tensor-Core engines pack operands rounded to fp16 (`Tc`, `EcTc`)
+//! or tf32 (`Tf32`): 11-bit significands, so every product fits f32's
+//! 24-bit significand exactly and the fused step gives the same bits as a
+//! separate multiply and add. For fp16 operands that holds always (their
+//! products stay inside f32's normal range); for tf32 it holds unless a
+//! product underflows or overflows f32.
 
 use crate::scalar::Scalar;
 
@@ -69,7 +80,7 @@ pub fn microkernel<T: Scalar, const MR: usize, const NR: usize>(
         };
         for (col, &w) in acc.iter_mut().zip(bv.iter()) {
             for (x, &ai) in col.iter_mut().zip(av.iter()) {
-                *x += ai * w;
+                *x = ai.mul_add(w, *x);
             }
         }
     }
@@ -93,23 +104,27 @@ pub fn microkernel<T: Scalar, const MR: usize, const NR: usize>(
 }
 
 /// The wide-lane variant of [`microkernel`]: same packed-strip contract,
-/// same per-element accumulation order, but the `MR`-tall accumulator
-/// columns are walked in fixed `LANES`-wide blocks (`MR % LANES == 0`)
-/// so every FMA in the hot loop operates on a const-length `[T; LANES]`
-/// window — the formulation the autovectorizer turns into vector FMAs
-/// without relying on unrolling heuristics. Combined with the taller/wider
-/// tile shapes the tuning table picks for this tier (16×4 and up), the
-/// kernel carries enough independent accumulators to cover FMA latency.
+/// same per-element fused accumulation, at tile height `MR = MV·LANES`.
+/// The accumulator is `NR` columns of `MV` const-length `[T; LANES]`
+/// blocks, and each `k` step walks the lane blocks of the A strip in the
+/// outer loop and the tile columns in the inner one: one A block is loaded
+/// once and meets all `NR` broadcast B values. That shape is what the
+/// autovectorizer keeps entirely in vector registers at every tile the
+/// dispatcher offers, 8×4 up to 32×8. With the columns in the outer loop
+/// instead (one flat `MR`-long column per B value), LLVM keeps 8×8 and
+/// 16×4 in registers but vectorizes 16×8 and 32×8 across the columns, with
+/// a gather/scatter per step, at a tenth of the speed.
 ///
-/// **Bit-exactness:** each `acc[j][i]` still sums its `a[l·MR+i]·b[l·NR+j]`
-/// products in ascending `l` — lane-blocking regroups *which elements sit
-/// in one vector register*, never the per-element addition order — so for
-/// equal `kc` this kernel is bit-identical to [`microkernel`] at any
-/// `MR`/`NR`. The tiered dispatch in [`crate::tile`] relies on that to
-/// keep the scalar kernel a usable oracle.
+/// **Bit-exactness:** each `acc[j][i]` still takes its
+/// `fma(a[l·MR+i], b[l·NR+j], ·)` steps in ascending `l` — lane blocking
+/// regroups *which elements sit in one vector register*, never the
+/// per-element operation order — so for equal `kc` this kernel is
+/// bit-identical to [`microkernel`] at any tile. The tiered dispatch in
+/// [`crate::tile`] relies on that to keep the scalar kernel a usable
+/// oracle.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
-pub fn microkernel_wide<T: Scalar, const MR: usize, const NR: usize, const LANES: usize>(
+pub fn microkernel_wide<T: Scalar, const MV: usize, const NR: usize, const LANES: usize>(
     kc: usize,
     a: &[T],
     b: &[T],
@@ -119,51 +134,44 @@ pub fn microkernel_wide<T: Scalar, const MR: usize, const NR: usize, const LANES
     mr: usize,
     nr: usize,
 ) {
-    assert!(
-        LANES > 0 && MR.is_multiple_of(LANES),
-        "MR must be a LANES multiple"
-    );
-    assert!(mr <= MR && nr <= NR, "live tile exceeds MR×NR");
-    assert!(a.len() >= kc * MR, "packed A strip too short");
+    let tile_m = MV * LANES;
+    assert!(mr <= tile_m && nr <= NR, "live tile exceeds MR×NR");
+    assert!(a.len() >= kc * tile_m, "packed A strip too short");
     assert!(b.len() >= kc * NR, "packed B strip too short");
-    let mut acc = [[T::ZERO; MR]; NR];
-    for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {
+    let mut acc = [[[T::ZERO; LANES]; MV]; NR];
+    for (av, bv) in a.chunks_exact(tile_m).zip(b.chunks_exact(NR)).take(kc) {
         // chunks_exact guarantees the lengths; the `else` arms are dead
         // branches kept panic-free for lint R8, as in `microkernel`.
-        let Ok(av) = <&[T; MR]>::try_from(av) else {
-            continue;
-        };
         let Ok(bv) = <&[T; NR]>::try_from(bv) else {
             continue;
         };
-        for (col, &w) in acc.iter_mut().zip(bv.iter()) {
-            // const-length lane blocks: LANES independent FMAs per step
-            for (cl, al) in col.chunks_exact_mut(LANES).zip(av.chunks_exact(LANES)) {
-                let Ok(cl) = <&mut [T; LANES]>::try_from(cl) else {
-                    continue;
-                };
-                let Ok(al) = <&[T; LANES]>::try_from(al) else {
-                    continue;
-                };
+        for (v, al) in (0..MV).zip(av.chunks_exact(LANES)) {
+            let Ok(al) = <&[T; LANES]>::try_from(al) else {
+                continue;
+            };
+            for (col, &w) in acc.iter_mut().zip(bv) {
+                let x = &mut col[v];
                 for i in 0..LANES {
-                    cl[i] += al[i] * w;
+                    x[i] = al[i].mul_add(w, x[i]);
                 }
             }
         }
     }
-    if mr == MR && nr == NR {
-        for (j, col) in acc.iter().enumerate() {
-            let cj = &mut c[j * ldc..j * ldc + MR];
-            for (ci, &x) in cj.iter_mut().zip(col) {
-                *ci += alpha * x;
-            }
-        }
+    // Move the accumulator before the writeback walks it with the runtime
+    // extent `mr`×`nr`. The hot loop above then only ever indexes `acc` by
+    // compile-time constants, so LLVM keeps all of it in registers; without
+    // the move the dynamic indexing pins `acc` to the stack and every FMA
+    // also stores its result.
+    let acc = acc;
+    let (live_m, live_n) = if mr == tile_m && nr == NR {
+        (tile_m, NR)
     } else {
-        for (j, col) in acc.iter().take(nr).enumerate() {
-            let cj = &mut c[j * ldc..j * ldc + mr];
-            for (ci, &x) in cj.iter_mut().zip(col) {
-                *ci += alpha * x;
-            }
+        (mr, nr)
+    };
+    for (j, col) in acc.iter().take(live_n).enumerate() {
+        let cj = &mut c[j * ldc..j * ldc + live_m];
+        for (ci, &x) in cj.iter_mut().zip(col.as_flattened()) {
+            *ci += alpha * x;
         }
     }
 }
@@ -171,6 +179,7 @@ pub fn microkernel_wide<T: Scalar, const MR: usize, const NR: usize, const LANES
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tile::{kernel_for, KernelTier, MicroFn};
 
     /// Hand-packed 2×2 strips against a naive per-entry product.
     #[test]
@@ -221,35 +230,9 @@ mod tests {
         microkernel::<f32, MR, NR>(4, &vals, &ones, 1.0, &mut c, 1, 1, 1);
         let mut want = 0.0f32;
         for v in vals {
-            want += v;
+            want = v.mul_add(1.0, want);
         }
         assert_eq!(c[0], want);
-    }
-
-    /// The wide-lane kernel must be bit-identical to the scalar kernel at
-    /// the same tile shape (the dispatch layer's oracle contract), for
-    /// full and ragged live extents.
-    #[test]
-    fn wide_matches_scalar_bitwise() {
-        const MR: usize = 16;
-        const NR: usize = 4;
-        let kc = 37;
-        let mut s = 7u64;
-        let mut next = move || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((s >> 33) as f32 / (1u64 << 31) as f32) - 0.5
-        };
-        let a: Vec<f32> = (0..kc * MR).map(|_| next()).collect();
-        let b: Vec<f32> = (0..kc * NR).map(|_| next()).collect();
-        for (mr, nr) in [(MR, NR), (11, 3), (1, 1), (MR, 2)] {
-            let mut c_scalar = vec![0.25f32; MR * NR];
-            let mut c_wide = c_scalar.clone();
-            microkernel::<f32, MR, NR>(kc, &a, &b, 1.7, &mut c_scalar, MR, mr, nr);
-            microkernel_wide::<f32, MR, NR, 8>(kc, &a, &b, 1.7, &mut c_wide, MR, mr, nr);
-            assert_eq!(c_scalar, c_wide, "mr={mr} nr={nr}");
-        }
     }
 
     /// Lane-blocking must not disturb the pinned k-ascending accumulation
@@ -265,11 +248,139 @@ mod tests {
         }
         let ones = [1.0f32; 4 * NR];
         let mut c = [0.0f32; MR];
-        microkernel_wide::<f32, MR, NR, 8>(4, &a, &ones, 1.0, &mut c, MR, 1, 1);
+        microkernel_wide::<f32, 1, NR, 8>(4, &a, &ones, 1.0, &mut c, MR, 1, 1);
         let mut want = 0.0f32;
         for v in vals {
-            want += v;
+            want = v.mul_add(1.0, want);
         }
         assert_eq!(c[0], want);
+    }
+
+    /// Deterministic values in [-0.5, 0.5).
+    fn lcg(seed: u64) -> impl FnMut() -> f32 {
+        let mut s = seed;
+        move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 33) as f32 / (1u64 << 31) as f32) - 0.5
+        }
+    }
+
+    /// `C[..mr, ..nr] += alpha·Ap·Bp` written out per element over packed
+    /// strips of an `tm`×`tn` tile: `acc` takes one `step` per `k`, in
+    /// ascending order, then meets C as `c + alpha·acc`.
+    #[allow(clippy::too_many_arguments)]
+    fn written_out(
+        step: fn(f32, f32, f32) -> f32,
+        (tm, tn): (usize, usize),
+        kc: usize,
+        a: &[f32],
+        b: &[f32],
+        alpha: f32,
+        c: &mut [f32],
+        (mr, nr): (usize, usize),
+    ) {
+        for j in 0..nr {
+            for i in 0..mr {
+                let mut acc = 0.0f32;
+                for l in 0..kc {
+                    acc = step(a[l * tm + i], b[l * tn + j], acc);
+                }
+                c[j * tm + i] += alpha * acc;
+            }
+        }
+    }
+
+    /// The fused step: `fma(a, b, acc)`, one rounding.
+    fn fused(a: f32, b: f32, acc: f32) -> f32 {
+        a.mul_add(b, acc)
+    }
+
+    /// The unfused step: `acc + a·b`, two roundings.
+    fn unfused(a: f32, b: f32, acc: f32) -> f32 {
+        acc + a * b
+    }
+
+    /// Every kernel the dispatcher offers, in both tiers, with its tile.
+    fn offered_kernels() -> Vec<(KernelTier, usize, usize, MicroFn<f32>)> {
+        let mut out = Vec::new();
+        for tier in [KernelTier::Scalar, KernelTier::Wide] {
+            for mr in [4, 8, 16, 32] {
+                for nr in [4, 8] {
+                    if let Some(k) = kernel_for::<f32>(tier, mr, nr) {
+                        out.push((tier, mr, nr, k));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Runs `kernel` and `step`'s written-out loop on the same strips, for
+    /// full and ragged live extents, and returns whether any output bit
+    /// differed (`exact` asserts there is none).
+    fn compare_with_written_out(
+        operand: &mut dyn FnMut() -> f32,
+        step: fn(f32, f32, f32) -> f32,
+        exact: bool,
+    ) -> bool {
+        let kc = 37;
+        let mut any_diff = false;
+        for (tier, tm, tn, kernel) in offered_kernels() {
+            let a: Vec<f32> = (0..kc * tm).map(|_| operand()).collect();
+            let b: Vec<f32> = (0..kc * tn).map(|_| operand()).collect();
+            for live in [
+                (tm, tn),
+                (tm - 3, tn - 1),
+                (tm * 2 / 3 + 1, 3),
+                (1, 1),
+                (tm, 2),
+            ] {
+                let mut c_kernel = vec![0.25f32; tm * tn];
+                let mut c_loop = c_kernel.clone();
+                kernel(kc, &a, &b, 1.7, &mut c_kernel, tm, live.0, live.1);
+                written_out(step, (tm, tn), kc, &a, &b, 1.7, &mut c_loop, live);
+                let same = c_kernel
+                    .iter()
+                    .zip(&c_loop)
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(
+                    same || !exact,
+                    "{tier:?} {tm}×{tn} live {live:?} differs from the written-out loop"
+                );
+                any_diff |= !same;
+            }
+        }
+        any_diff
+    }
+
+    /// Both tiers, at every offered tile, equal the written-out `mul_add`
+    /// chain bit for bit — and therefore each other, the dispatch layer's
+    /// oracle contract. On general f32 data that chain is not the unfused
+    /// one, so the comparison would catch a kernel that never fused.
+    #[test]
+    fn every_offered_kernel_is_the_written_out_fma_chain() {
+        compare_with_written_out(&mut lcg(11), fused, true);
+        assert!(
+            compare_with_written_out(&mut lcg(11), unfused, false),
+            "random f32 operands should expose the second rounding"
+        );
+    }
+
+    /// On fp16-representable operands every product is exact in f32, so
+    /// the fused kernels give exactly the bits of the unfused `acc + a·b`
+    /// loop: the reason the Tensor-Core engines' GEMM outputs do not depend
+    /// on the fusion. Exponents spread over ±2⁸ so products span a wide range.
+    #[test]
+    fn f16_operands_give_the_unfused_bits() {
+        let mut base = lcg(13);
+        let mut scale = lcg(17);
+        let mut f16_operand = move || {
+            let e = (scale() * 16.0) as i32;
+            crate::f16::round_through_f16(base() * 2f32.powi(e))
+        };
+        compare_with_written_out(&mut f16_operand, unfused, true);
+        compare_with_written_out(&mut f16_operand, fused, true);
     }
 }

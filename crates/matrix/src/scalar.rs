@@ -55,6 +55,11 @@ pub trait Scalar:
     fn copysign(self, sign: Self) -> Self;
     fn is_finite(self) -> bool;
     fn powi(self, n: i32) -> Self;
+    /// Fused multiply-add `self·a + b` with a single rounding (IEEE 754
+    /// `fusedMultiplyAdd`). Correctly rounded, so the result is the same on
+    /// every target; with hardware FMA (`target-cpu=native` on x86-64 or
+    /// aarch64) it is one instruction, without it a libm call.
+    fn mul_add(self, a: Self, b: Self) -> Self;
     /// `sign(x)` with `sign(0) = 1`, matching the Householder sign convention.
     fn sign1(self) -> Self {
         if self < Self::ZERO {
@@ -80,24 +85,6 @@ pub trait Scalar:
     const GEMM_MC: usize = 64;
     /// Depth of one packed A/B panel (k-dimension blocking).
     const GEMM_KC: usize = 256;
-
-    /// The register-tiled microkernel monomorphized at this type's MR×NR
-    /// (see [`crate::microkernel::microkernel`]). The default dispatches
-    /// the generic 4×4 fallback matching the default tile constants.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn gemm_microkernel(
-        kc: usize,
-        a: &[Self],
-        b: &[Self],
-        alpha: Self,
-        c: &mut [Self],
-        ldc: usize,
-        mr: usize,
-        nr: usize,
-    ) {
-        crate::microkernel::microkernel::<Self, 4, 4>(kc, a, b, alpha, c, ldc, mr, nr);
-    }
 }
 
 macro_rules! impl_scalar {
@@ -156,25 +143,15 @@ macro_rules! impl_scalar {
             fn powi(self, n: i32) -> Self {
                 <$t>::powi(self, n)
             }
+            #[inline(always)]
+            fn mul_add(self, a: Self, b: Self) -> Self {
+                <$t>::mul_add(self, a, b)
+            }
 
             const GEMM_MR: usize = $mr;
             const GEMM_NR: usize = $nr;
             const GEMM_MC: usize = $mc;
             const GEMM_KC: usize = $kc;
-
-            #[inline]
-            fn gemm_microkernel(
-                kc: usize,
-                a: &[Self],
-                b: &[Self],
-                alpha: Self,
-                c: &mut [Self],
-                ldc: usize,
-                mr: usize,
-                nr: usize,
-            ) {
-                crate::microkernel::microkernel::<$t, $mr, $nr>(kc, a, b, alpha, c, ldc, mr, nr);
-            }
         }
     };
 }

@@ -13,14 +13,17 @@
 //!
 //! Tier and tile selection is a **pure function of the GEMM shape and the
 //! tuning table** — never of thread count, timing, or any runtime
-//! measurement. Both tiers accumulate every output element in the same
-//! k-ascending order within fixed KC panels, and `KC` is pinned per scalar
-//! type across tiers ([`Scalar::GEMM_KC`]): varying MR/NR/MC only regroups
-//! which elements share a register, which cannot change per-element
-//! rounding, whereas varying KC would regroup the panel partial sums that
-//! *are* added into C. The dispatch therefore guarantees bit-identical
-//! results across tiers, tile shapes, and thread counts; the determinism
-//! suite pins this.
+//! measurement. Both tiers accumulate every output element with one fused
+//! multiply-add per `k` step ([`Scalar::mul_add`], a single rounding), in
+//! the same k-ascending order within fixed KC panels, and `KC` is pinned
+//! per scalar type across tiers ([`Scalar::GEMM_KC`]): varying MR/NR/MC
+//! only regroups which elements share a register, which cannot change
+//! per-element rounding, whereas varying KC would regroup the panel
+//! partial sums that *are* added into C. IEEE fma is correctly rounded, so
+//! the bits are also the same on every target, with or without hardware
+//! FMA (only the speed differs). The dispatch therefore guarantees
+//! bit-identical results across tiers, tile shapes, thread counts and
+//! targets; the determinism suite pins the thread-count part.
 //!
 //! # The tuning table
 //!
@@ -128,20 +131,21 @@ pub type MicroFn<T> = fn(usize, &[T], &[T], T, &mut [T], usize, usize, usize);
 /// and overrides must name one of these; anything else is rejected at
 /// load/selection time (never at kernel-call time).
 ///
-/// Wide instantiations use 8 lanes: one 256-bit register of f32, two of
-/// f64 — both shapes the autovectorizer handles as straight vector FMAs.
+/// Wide instantiations use 8-lane blocks (`mr = MV·8`): one 256-bit
+/// register of f32, two of f64 — shapes the autovectorizer turns into
+/// straight vector FMAs with the whole tile held in registers.
 pub fn kernel_for<T: Scalar>(tier: KernelTier, mr: usize, nr: usize) -> Option<MicroFn<T>> {
     match (tier, mr, nr) {
         (KernelTier::Scalar, 4, 4) => Some(microkernel::<T, 4, 4>),
         (KernelTier::Scalar, 8, 4) => Some(microkernel::<T, 8, 4>),
         (KernelTier::Scalar, 8, 8) => Some(microkernel::<T, 8, 8>),
         (KernelTier::Scalar, 16, 4) => Some(microkernel::<T, 16, 4>),
-        (KernelTier::Wide, 8, 4) => Some(microkernel_wide::<T, 8, 4, 8>),
-        (KernelTier::Wide, 8, 8) => Some(microkernel_wide::<T, 8, 8, 8>),
-        (KernelTier::Wide, 16, 4) => Some(microkernel_wide::<T, 16, 4, 8>),
-        (KernelTier::Wide, 16, 8) => Some(microkernel_wide::<T, 16, 8, 8>),
-        (KernelTier::Wide, 32, 4) => Some(microkernel_wide::<T, 32, 4, 8>),
-        (KernelTier::Wide, 32, 8) => Some(microkernel_wide::<T, 32, 8, 8>),
+        (KernelTier::Wide, 8, 4) => Some(microkernel_wide::<T, 1, 4, 8>),
+        (KernelTier::Wide, 8, 8) => Some(microkernel_wide::<T, 1, 8, 8>),
+        (KernelTier::Wide, 16, 4) => Some(microkernel_wide::<T, 2, 4, 8>),
+        (KernelTier::Wide, 16, 8) => Some(microkernel_wide::<T, 2, 8, 8>),
+        (KernelTier::Wide, 32, 4) => Some(microkernel_wide::<T, 4, 4, 8>),
+        (KernelTier::Wide, 32, 8) => Some(microkernel_wide::<T, 4, 8, 8>),
         _ => None,
     }
 }

@@ -121,8 +121,19 @@ mod tests {
     use tcevd_matrix::{Mat, Op};
     use tcevd_tensorcore::{Engine, GemmContext};
 
+    /// The allocation watermark is process-global and every
+    /// [`StageScope::begin`] resets its peak, so a scope's `peak_bytes` is
+    /// only its own while no sibling test opens a scope. Every test in this
+    /// crate that opens one holds this lock.
+    static WATERMARK_SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    pub(crate) fn watermark_serial() -> std::sync::MutexGuard<'static, ()> {
+        WATERMARK_SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn stage_scope_attributes_deltas_per_stage() {
+        let _serial = watermark_serial();
         let sink = TraceSink::enabled();
         let ctx = GemmContext::new(Engine::Sgemm).with_sink(sink.clone());
         let a = Mat::<f32>::identity(6, 6);
@@ -173,6 +184,7 @@ mod tests {
 
     #[test]
     fn stage_scope_on_disabled_sink_is_inert() {
+        let _serial = watermark_serial();
         let sink = TraceSink::disabled();
         {
             let _s = StageScope::begin(&sink, "sbr");
@@ -183,6 +195,7 @@ mod tests {
 
     #[test]
     fn recovery_rerun_keeps_worst_case_peak_and_sums_flops() {
+        let _serial = watermark_serial();
         let sink = TraceSink::enabled();
         let ctx = GemmContext::new(Engine::Sgemm).with_sink(sink.clone());
         let a = Mat::<f32>::identity(4, 4);

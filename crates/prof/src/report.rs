@@ -376,6 +376,7 @@ mod tests {
 
     #[test]
     fn stage_reports_read_stage_scopes() {
+        let _serial = crate::tests::watermark_serial();
         let sink = TraceSink::enabled();
         {
             let _s = crate::StageScope::begin(&sink, "sbr");
