@@ -70,35 +70,29 @@ pub(crate) fn chase<T: Scalar>(
     sink.add("kernel_flops.bulge", 6 * (n as u64) * (n as u64) * b as u64);
     let mut q = accumulate_q.then(|| Mat::<T>::identity(n, n));
     if b > 1 && n > 2 {
-        sweep(&mut a, b, 1, q.as_mut(), sink);
+        sweep(&mut a, b, q.as_mut(), sink);
     }
     let diag = (0..n).map(|i| a.get(i, i)).collect();
     let offdiag = (0..n.saturating_sub(1)).map(|i| a.get(i + 1, i)).collect();
     BulgeResult { diag, offdiag, q }
 }
 
-/// One chasing sweep reducing the band of bandwidth `b` held in `a`
-/// (packed with [`chase_room`]) to bandwidth `b_to < b`, optionally
-/// accumulating the reflectors into `q` (right-multiplication). Outer
-/// iteration `j` annihilates column `j` below row `j + b_to` and chases the
-/// bulge this creates off the bottom of the band; tallies `bulge_sweeps` /
+/// The chasing sweeps reducing the band of bandwidth `b` held in `a`
+/// (packed with [`chase_room`]) to tridiagonal, optionally accumulating the
+/// reflectors into `q` (right-multiplication). Outer iteration `j`
+/// annihilates column `j` below row `j + 1` and chases the bulge this
+/// creates off the bottom of the band; tallies `bulge_sweeps` /
 /// `bulge_reflectors` into `sink`.
-pub(crate) fn sweep<T: Scalar>(
-    a: &mut SymBand<T>,
-    b: usize,
-    b_to: usize,
-    q: Option<&mut Mat<T>>,
-    sink: &TraceSink,
-) {
+fn sweep<T: Scalar>(a: &mut SymBand<T>, b: usize, q: Option<&mut Mat<T>>, sink: &TraceSink) {
     let n = a.n();
     // Q accumulation is the chase's O(n³) term (the band work is only
     // O(n²·b)); see `crate::qupdate` for how it is batched and how it
     // skips the rows of Q that are still zero.
     let mut acc = q.map(QAccumulator::new);
     let mut ws = Workspace::new(n, b);
-    for j in 0..n.saturating_sub(b_to + 1) {
+    for j in 0..n.saturating_sub(2) {
         sink.add("bulge_sweeps", 1);
-        let (mut src, mut s) = (j, j + b_to);
+        let (mut src, mut s) = (j, j + 1);
         while s < n {
             let e = (s + b).min(n);
             if e - s <= 1 {

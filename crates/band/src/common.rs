@@ -1,39 +1,7 @@
-//! Shared types and helpers for the band-reduction drivers.
+//! Shared helpers for the band-reduction drivers.
 
-use crate::panel::PanelKind;
 use tcevd_matrix::{Mat, MatMut, MatRef};
 use tcevd_tensorcore::GemmContext;
-
-/// Configuration for a successive band reduction run.
-#[derive(Copy, Clone, Debug)]
-pub struct SbrOptions {
-    /// Target bandwidth `b` (also the panel width).
-    pub bandwidth: usize,
-    /// Panel factorization algorithm (TSQR vs Householder baseline).
-    pub panel: PanelKind,
-    /// Accumulate the full orthogonal transform `Q` (needed for
-    /// eigenvectors and for the backward-error metric).
-    pub accumulate_q: bool,
-}
-
-impl Default for SbrOptions {
-    fn default() -> Self {
-        SbrOptions {
-            bandwidth: 32,
-            panel: PanelKind::Tsqr,
-            accumulate_q: false,
-        }
-    }
-}
-
-/// Output of a band reduction: `A = Q·B·Qᵀ` with `B` symmetric banded.
-pub struct SbrResult {
-    /// The band matrix (full dense storage; entries outside the band are
-    /// exact zeros).
-    pub band: Mat<f32>,
-    /// The accumulated orthogonal similarity (if requested).
-    pub q: Option<Mat<f32>>,
-}
 
 /// Largest |entry| outside the band of half-width `b` — the structural
 /// invariant every SBR must satisfy (exactly 0 by construction here).

@@ -4,21 +4,22 @@
 //! The two stages of two-stage tridiagonalization (paper Figure 1), plus the
 //! machinery around them:
 //!
-//! * [`sbr_zy()`] — conventional ZY-representation SBR (the MAGMA-style
-//!   baseline with tall-skinny GEMMs).
-//! * [`sbr_blocked()`] — the blocked SBR with big-block deferred trailing
+//! * [`sbr_blocked()`] — the one SBR loop: big-block deferred trailing
 //!   updates ('squeezed' near-square GEMMs for Tensor Cores). A
 //!   [`BlockEnd`] parameter picks how each block's trailing update is
 //!   written: the paper's Algorithm 1 (three rank-`nb` GEMMs; [`sbr_wy()`]
 //!   is this setting) or the follow-up paper's detached band reduction
-//!   (one rank-`nb` symmetric syr2k, which lets `nb` grow past `b`).
+//!   (one rank-`nb` symmetric syr2k, which lets `nb` grow past `b`). The
+//!   syr2k end at `nb = b` is the conventional ZY reduction (the
+//!   MAGMA-style baseline with tall-skinny GEMMs): one panel per level,
+//!   `Z = A·W − ½·Y·(Wᵀ·A·W)`, then one rank-2b syr2k.
 //! * [`formw`] — the paper's Algorithm 2: recursive merge of per-block WY
 //!   factors for the eigenvector back-transformation.
 //! * [`bulge_packed`] — band → tridiagonal bulge chasing (stage 2) on
 //!   packed band storage; [`bulge`] is its entry point for dense input.
-//! * [`trace_model`] — dry-run GEMM/panel shape traces of the SBR variants
-//!   at arbitrary n, validated call-for-call against the real
-//!   implementations; these drive the performance-model reproduction of the
+//! * [`trace_model`] — dry-run GEMM/panel shape traces of the blocked SBR
+//!   (ZY included) at arbitrary n, validated call-for-call against the real
+//!   runs; these drive the performance-model reproduction of the
 //!   paper's timing figures.
 //!
 //! All numeric drivers take a
@@ -33,25 +34,20 @@ pub mod bulge_packed;
 pub mod common;
 pub mod error;
 pub mod formw;
-pub mod multisweep;
 pub mod panel;
 mod qupdate;
 pub mod sbr_wy;
-pub mod sbr_zy;
 pub mod storage;
 pub mod trace_model;
 
 pub use bulge::{bulge_chase, bulge_chase_with, BulgeResult};
 pub use bulge_packed::{bulge_chase_packed, bulge_chase_packed_with};
-pub use common::{max_outside_band, SbrOptions, SbrResult};
+pub use common::max_outside_band;
 pub use error::BandError;
 pub use formw::{apply_q, form_wy};
-pub use multisweep::{band_reduce_sweep, multi_sweep_tridiagonalize};
 pub use panel::{factor_panel, factor_panel_with, FactoredPanel, PanelKind};
 pub use sbr_wy::{sbr_blocked, sbr_wy, BlockEnd, LevelWy, WyOptions, WySbrResult};
-pub use sbr_zy::sbr_zy;
 pub use storage::SymBand;
 pub use trace_model::{
-    blocked_trace_on, formw_trace, formw_trace_on, wy_trace, wy_trace_on, zy_trace, zy_trace_on,
-    PanelOp, SbrTrace,
+    blocked_trace_on, formw_trace, formw_trace_on, wy_trace, wy_trace_on, PanelOp, SbrTrace,
 };

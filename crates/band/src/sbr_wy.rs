@@ -38,6 +38,15 @@
 //! `nb` from `b`: `b` stays small for cheap bulge chasing while `nb` grows
 //! (the crossover sweep lives in `reproduce dbr`).
 //!
+//! At `nb = b` the syr2k end is the conventional ZY reduction (Dongarra,
+//! Sorensen & Hammarling 1989; MAGMA's `ssytrd_sy2sb`). Each level has one
+//! panel, so the block end covers the level's whole trailing block and the
+//! next-panel update is skipped: per panel, `AW = OA·W` (`wy_aw_append`),
+//! `Wᵀ·AW` (`wy_final_waw`), `Z = AW − ½·Y·(Wᵀ·AW)` (`dbr_final_v`) and one
+//! rank-2b syr2k (`dbr_syr2k`), every GEMM at inner dimension `b`. With one
+//! panel per level nothing is deferred, so `Z`, which needs the fully
+//! updated trailing matrix, is at hand.
+//!
 //! # Workspace
 //!
 //! Each level copies its original trailing matrix `OA` (mp×mp, `mp = m − b`)
@@ -58,7 +67,7 @@
 //!
 //! That test holds the measured peak to this list.
 
-use crate::common::{accumulate_q_right, clip_to_band, symmetrize, symmetrize_view, SbrResult};
+use crate::common::{accumulate_q_right, clip_to_band, symmetrize, symmetrize_view};
 use crate::panel::{factor_panel_with, PanelKind};
 use tcevd_matrix::{Mat, Op};
 use tcevd_tensorcore::GemmContext;
@@ -98,7 +107,8 @@ pub enum BlockEnd {
     /// (`wy_final_u1..u3`).
     ThreeGemm,
     /// The detached band reduction: `V = T1 − ½·Y·T2` (`dbr_final_v`), then
-    /// one syr2k `OA − V·Yᵀ − Y·Vᵀ` (`dbr_syr2k`).
+    /// one syr2k `OA − V·Yᵀ − Y·Vᵀ` (`dbr_syr2k`). At `nb = b` this is the
+    /// conventional ZY reduction, with `V` its `Z`.
     Syr2k,
 }
 
@@ -117,15 +127,6 @@ pub struct WySbrResult {
     pub band: Mat<f32>,
     pub q: Option<Mat<f32>>,
     pub levels: Vec<LevelWy>,
-}
-
-impl From<WySbrResult> for SbrResult {
-    fn from(r: WySbrResult) -> SbrResult {
-        SbrResult {
-            band: r.band,
-            q: r.q,
-        }
-    }
 }
 
 /// Reduce symmetric `a` to band form with the recursive WY algorithm
@@ -155,8 +156,9 @@ pub fn sbr_wy(
 }
 
 /// Reduce symmetric `a` to band form with the blocked SBR, writing each
-/// block's trailing update as `end` says. Both settings produce the same
-/// per-level `(W, Y)` factors, so FormW serves either.
+/// block's trailing update as `end` says. Both settings record each level's
+/// `(W, Y)` factors, so FormW serves either, ZY (`Syr2k` at `nb = b`)
+/// included.
 ///
 /// Returns [`crate::BandError`] (rather than panicking) on a non-square
 /// input, a zero bandwidth, or non-finite entries.
@@ -183,6 +185,11 @@ pub fn sbr_blocked(
     let n = a.rows();
     let b = opts.bandwidth;
     let nb = (opts.block / b).max(1) * b;
+
+    // ZY: with one panel per level the syr2k end covers the level's whole
+    // trailing block, so the next-panel update is redundant. The paper's WY
+    // at nb = b keeps Algorithm 1's inner update: its Table 2 row counts it.
+    let one_panel = end == BlockEnd::Syr2k && nb == b;
 
     let sink = ctx.sink().clone();
     let _sbr_span = span!(sink, "sbr_wy", n, b, nb, end = format!("{end:?}"));
@@ -216,7 +223,6 @@ pub fn sbr_blocked(
         let mut k = 0usize;
 
         let mut i = 0; // local column offset inside the big block
-        let mut exhausted = false;
         sink.add("sbr_levels", 1);
         let _level_span = span!(sink, "sbr_level", off, m);
         while i < nb && i + b < m {
@@ -291,8 +297,8 @@ pub fn sbr_blocked(
 
             // 3. Update only the NEXT panel's columns, from the original OA:
             //    GA = [(I − Y·Wᵀ)·OA·(I − W·Yᵀ)][:, c'] ,  c' = i..i+cw.
-            let cw = b.min(mp - i); // next-block width (clipped at the edge)
-            {
+            if !one_panel {
+                let cw = b.min(mp - i); // next-block width (clipped at the edge)
                 let _update_span = span!(sink, "block_update", i, k, cw);
                 let w_k = wacc.view(0, 0, mp, k);
                 let y_k = yacc.view(0, 0, mp, k);
@@ -345,9 +351,6 @@ pub fn sbr_blocked(
             }
 
             i += b;
-            if i + b >= m {
-                exhausted = true;
-            }
         }
         let processed = i;
         // Only the panel loop reads OA; the block end takes T1 from AW.
@@ -371,19 +374,23 @@ pub fn sbr_blocked(
             });
         }
 
-        if exhausted || processed + b >= m {
+        // The next-panel updates already wrote the last level's trailing
+        // block; the one-panel setting leaves it to the block end.
+        if processed + b >= m && !one_panel {
             break;
         }
 
         // 4. Big trailing update with the squeezed inner dimension k = nb:
-        //    M_t = [(I − Y·Wᵀ)·OA·(I − W·Yᵀ)][t', t'],  t' = processed..mp.
+        //    M_t = [(I − Y·Wᵀ)·OA·(I − W·Yᵀ)][t', t'],  t' = start..mp,
+        //    where `start` skips the columns the next-panel updates wrote.
         //    T1 = OA·W is the cached AW — no extra GEMM needed; everything
         //    below runs with inner dimension k = nb, the near-square shapes
         //    this algorithm exists for.
-        let mt = mp - processed;
+        let start = if one_panel { 0 } else { processed };
+        let mt = mp - start;
         let _trailing_span = span!(sink, "trailing_update", mt, k);
         let w_k = wacc.view(0, 0, mp, k);
-        let y_t = yacc.view(processed, 0, mt, k);
+        let y_t = yacc.view(start, 0, mt, k);
         let t1 = aw.view(0, 0, mp, k);
 
         // T2 = Wᵀ·T1 (k×k)
@@ -400,10 +407,10 @@ pub fn sbr_blocked(
         );
 
         // M_t ← OA_t − T1_t·Y_tᵀ − Y_t·T1_tᵀ + Y_t·T2·Y_tᵀ, in place: the
-        // panel loop writes only rows and columns above `processed`, so
-        // a's trailing block still holds OA_t.
-        let mut t1t = t1.view(processed, 0, mt, k).to_owned();
-        let tail = off + b + processed;
+        // panel loop writes only rows and columns above `start`, so a's
+        // trailing block still holds OA_t.
+        let mut t1t = t1.view(start, 0, mt, k).to_owned();
+        let tail = off + b + start;
         let mut m_t = a.view_mut(tail, tail, mt, mt);
         match end {
             BlockEnd::ThreeGemm => {
@@ -480,14 +487,20 @@ pub fn sbr_blocked(
 mod tests {
     use super::*;
     use crate::common::max_outside_band;
-    use crate::common::SbrOptions;
-    use crate::sbr_zy::sbr_zy;
     use tcevd_matrix::blas3::matmul;
     use tcevd_matrix::norms::{frobenius, orthogonality_residual};
     use tcevd_tensorcore::Engine;
     use tcevd_testmat::{generate, MatrixType};
 
     const ENDS: [BlockEnd; 2] = [BlockEnd::ThreeGemm, BlockEnd::Syr2k];
+
+    /// Both block ends at `nb = 4b`, and ZY: the syr2k end at `nb = b`.
+    /// Entries are `(end, nb / b)`.
+    const SETTINGS: [(BlockEnd, usize); 3] = [
+        (BlockEnd::ThreeGemm, 4),
+        (BlockEnd::Syr2k, 4),
+        (BlockEnd::Syr2k, 1),
+    ];
 
     fn test_matrix(n: usize, seed: u64) -> Mat<f32> {
         generate(n, MatrixType::Normal, seed).cast()
@@ -519,10 +532,18 @@ mod tests {
     fn produces_band_structure() {
         let a = test_matrix(96, 1);
         let ctx = GemmContext::new(Engine::Sgemm);
-        for end in ENDS {
-            let r = sbr_blocked(&a, &opts(8, 32, false), end, &ctx).expect("sbr reduction");
-            assert_eq!(max_outside_band(r.band.as_ref(), 8), 0.0, "{end:?}");
-            assert_eq!(r.band.max_abs_diff(&r.band.transpose()), 0.0, "{end:?}");
+        for (end, blocks) in SETTINGS {
+            let r = sbr_blocked(&a, &opts(8, 8 * blocks, false), end, &ctx).expect("sbr reduction");
+            assert_eq!(
+                max_outside_band(r.band.as_ref(), 8),
+                0.0,
+                "{end:?} nb={blocks}b"
+            );
+            assert_eq!(
+                r.band.max_abs_diff(&r.band.transpose()),
+                0.0,
+                "{end:?} nb={blocks}b"
+            );
         }
     }
 
@@ -530,12 +551,15 @@ mod tests {
     fn backward_stable_sgemm() {
         let a = test_matrix(96, 2);
         let ctx = GemmContext::new(Engine::Sgemm);
-        for end in ENDS {
-            let r = sbr_blocked(&a, &opts(8, 32, true), end, &ctx).expect("sbr reduction");
+        for (end, blocks) in SETTINGS {
+            let r = sbr_blocked(&a, &opts(8, 8 * blocks, true), end, &ctx).expect("sbr reduction");
             let q = r.q.as_ref().unwrap();
-            assert!(orthogonality_residual(q.as_ref()) / 96.0 < 1e-5, "{end:?}");
+            assert!(
+                orthogonality_residual(q.as_ref()) / 96.0 < 1e-5,
+                "{end:?} nb={blocks}b"
+            );
             let be = backward_error(&a, &r.band, q);
-            assert!(be < 1e-6, "{end:?}: backward error {be}");
+            assert!(be < 1e-6, "{end:?} nb={blocks}b: backward error {be}");
         }
     }
 
@@ -543,10 +567,10 @@ mod tests {
     fn backward_stable_tensor_core() {
         let a = test_matrix(96, 3);
         let ctx = GemmContext::new(Engine::Tc);
-        for end in ENDS {
-            let r = sbr_blocked(&a, &opts(8, 32, true), end, &ctx).expect("sbr reduction");
+        for (end, blocks) in SETTINGS {
+            let r = sbr_blocked(&a, &opts(8, 8 * blocks, true), end, &ctx).expect("sbr reduction");
             let be = backward_error(&a, &r.band, r.q.as_ref().unwrap());
-            assert!(be < 1e-4, "{end:?}: backward error {be}"); // TC machine-eps level
+            assert!(be < 1e-4, "{end:?} nb={blocks}b: backward error {be}"); // TC machine-eps level
         }
     }
 
@@ -557,18 +581,79 @@ mod tests {
         let a = test_matrix(64, 4);
         let ctx = GemmContext::new(Engine::Sgemm);
         let r_wy = sbr_wy(&a, &opts(8, 16, true), &ctx).expect("sbr reduction");
-        let r_zy = sbr_zy(
-            &a,
-            &SbrOptions {
-                bandwidth: 8,
-                panel: PanelKind::Tsqr,
-                accumulate_q: true,
-            },
-            &ctx,
-        )
-        .expect("sbr reduction");
+        let r_zy = sbr_blocked(&a, &opts(8, 8, true), BlockEnd::Syr2k, &ctx).expect("zy");
         assert!(backward_error(&a, &r_wy.band, r_wy.q.as_ref().unwrap()) < 1e-6);
         assert!(backward_error(&a, &r_zy.band, r_zy.q.as_ref().unwrap()) < 1e-6);
+    }
+
+    #[test]
+    fn preserves_trace() {
+        // similarity transforms preserve the trace
+        let a = test_matrix(80, 4);
+        let ctx = GemmContext::new(Engine::Sgemm);
+        let tr_a: f32 = (0..80).map(|i| a[(i, i)]).sum();
+        for (end, blocks) in SETTINGS {
+            let r = sbr_blocked(&a, &opts(16, 16 * blocks, false), end, &ctx).expect("sbr");
+            let tr_b: f32 = (0..80).map(|i| r.band[(i, i)]).sum();
+            assert!(
+                (tr_a - tr_b).abs() < 1e-3 * tr_a.abs().max(1.0),
+                "{end:?} nb={blocks}b"
+            );
+        }
+    }
+
+    #[test]
+    fn householder_panel_variant_matches() {
+        // The band matrices of the two panel kinds are similar (not equal:
+        // sign choices differ), so compare via the backward error of each.
+        let a = test_matrix(64, 5);
+        let ctx = GemmContext::new(Engine::Sgemm);
+        for (end, blocks) in SETTINGS {
+            for panel in [PanelKind::Tsqr, PanelKind::Householder] {
+                let o = WyOptions {
+                    panel,
+                    ..opts(8, 8 * blocks, true)
+                };
+                let r = sbr_blocked(&a, &o, end, &ctx).expect("sbr reduction");
+                let be = backward_error(&a, &r.band, r.q.as_ref().unwrap());
+                assert!(
+                    be < 1e-6,
+                    "{end:?} nb={blocks}b {panel:?}: backward error {be}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bandwidth_not_dividing_n() {
+        let a = test_matrix(70, 6); // 70 = 8*8 + 6
+        let ctx = GemmContext::new(Engine::Sgemm);
+        for (end, blocks) in SETTINGS {
+            let r = sbr_blocked(&a, &opts(8, 8 * blocks, true), end, &ctx).expect("sbr reduction");
+            assert_eq!(
+                max_outside_band(r.band.as_ref(), 8),
+                0.0,
+                "{end:?} nb={blocks}b"
+            );
+            let be = backward_error(&a, &r.band, r.q.as_ref().unwrap());
+            assert!(be < 1e-6, "{end:?} nb={blocks}b: backward error {be}");
+        }
+    }
+
+    #[test]
+    fn bandwidth_one_gives_tridiagonal() {
+        let a = test_matrix(24, 8);
+        let ctx = GemmContext::new(Engine::Sgemm);
+        for (end, blocks) in SETTINGS {
+            let r = sbr_blocked(&a, &opts(1, blocks, true), end, &ctx).expect("sbr reduction");
+            assert_eq!(
+                max_outside_band(r.band.as_ref(), 1),
+                0.0,
+                "{end:?} nb={blocks}b"
+            );
+            let be = backward_error(&a, &r.band, r.q.as_ref().unwrap());
+            assert!(be < 1e-5, "{end:?} nb={blocks}b: backward error {be}");
+        }
     }
 
     #[test]
@@ -646,22 +731,30 @@ mod tests {
     }
 
     #[test]
+    fn trace_records_tall_skinny_shapes() {
+        // ZY (the syr2k end at nb = b): every product runs at inner
+        // dimension ≤ b, and no next-panel update is issued.
+        let a = test_matrix(64, 7);
+        let ctx = GemmContext::new(Engine::Tc).with_trace();
+        let _ = sbr_blocked(&a, &opts(8, 8, false), BlockEnd::Syr2k, &ctx).expect("zy");
+        let tr = ctx.take_trace();
+        assert!(!tr.is_empty());
+        for rec in tr.iter().filter(|r| r.label == "dbr_syr2k") {
+            assert!(rec.k <= 8, "syr2k inner dim {} > b", rec.k);
+            assert_eq!(rec.m, rec.n); // outer product is square output
+        }
+        assert!(tr.iter().any(|r| r.label == "wy_aw_append"));
+        assert!(tr.iter().all(|r| !r.label.starts_with("wy_inner")));
+    }
+
+    #[test]
     fn trace_flops_exceed_zy() {
         // Table 2: WY does more arithmetic than ZY at the same bandwidth.
         let a = test_matrix(128, 9);
         let ctx_wy = GemmContext::new(Engine::Tc).with_trace();
         let _ = sbr_wy(&a, &opts(8, 32, false), &ctx_wy).expect("sbr reduction");
         let ctx_zy = GemmContext::new(Engine::Tc).with_trace();
-        let _ = sbr_zy(
-            &a,
-            &SbrOptions {
-                bandwidth: 8,
-                panel: PanelKind::Tsqr,
-                accumulate_q: false,
-            },
-            &ctx_zy,
-        )
-        .expect("sbr reduction");
+        let _ = sbr_blocked(&a, &opts(8, 8, false), BlockEnd::Syr2k, &ctx_zy).expect("zy");
         let f_wy = ctx_wy.total_flops();
         let f_zy = ctx_zy.total_flops();
         assert!(f_wy > f_zy, "WY {f_wy} should exceed ZY {f_zy}");

@@ -4,13 +4,14 @@
 //! The paper's evaluation runs at n up to 32768 — far beyond what a software
 //! fp16 GEMM can execute, but the *shape profile* of the algorithms is a
 //! pure function of (n, b, nb). These generators mirror the loop structure
-//! of [`sbr_zy()`](crate::sbr_zy::sbr_zy) and
-//! [`sbr_blocked()`](crate::sbr_wy::sbr_blocked) one GEMM call for one GEMM
-//! call (tests assert exact equality against the instrumented real runs at
-//! small n), so replaying them through the calibrated throughput model
-//! reproduces the paper's timing figures at full scale. Like the real
+//! of [`sbr_blocked()`](crate::sbr_wy::sbr_blocked) one GEMM call for one
+//! GEMM call (tests assert exact equality against the instrumented real
+//! runs at small n), so replaying them through the calibrated throughput
+//! model reproduces the paper's timing figures at full scale. Like the real
 //! reduction, the blocked generator takes the [`BlockEnd`] as a parameter:
-//! only the once-per-block trailing update differs between the two.
+//! only the once-per-block trailing update differs between the two, and the
+//! conventional ZY reduction is `blocked_trace_on(n, b, b, BlockEnd::Syr2k,
+//! engine)`.
 
 use crate::sbr_wy::BlockEnd;
 use tcevd_tensorcore::{Engine, GemmRecord};
@@ -28,8 +29,8 @@ pub struct PanelOp {
 pub struct SbrTrace {
     pub gemms: Vec<GemmRecord>,
     pub panels: Vec<PanelOp>,
-    /// Aggregated width `k` of each level's `(W, Y)` — the blocked SBR's
-    /// FormW inputs; empty for ZY, which keeps no levels.
+    /// Aggregated width `k` of each level's `(W, Y)` — the FormW inputs;
+    /// one panel's width per level for ZY.
     pub level_widths: Vec<usize>,
 }
 
@@ -58,40 +59,6 @@ fn rec_on(engine: Engine, label: &'static str, m: usize, n: usize, k: usize) -> 
     }
 }
 
-/// GEMM/panel trace of the ZY-based SBR (mirrors [`crate::sbr_zy::sbr_zy`]
-/// without Q accumulation) on the default Tensor-Core engine.
-pub fn zy_trace(n: usize, b: usize) -> SbrTrace {
-    zy_trace_on(n, b, Engine::Tc)
-}
-
-/// Engine-faithful ZY trace: records carry `engine`, and the rank-2k
-/// trailing update takes the form that engine actually executes —
-/// [`Engine::Sgemm`] issues one native `syr2k` record of shape
-/// `(mp, mp, kf)` (half the flops), the Tensor-Core engines two full
-/// outer-product GEMMs (no native syr2k; the paper's §4.1 observation).
-/// Matches the instrumented real runs of
-/// [`GemmContext::syr2k_update`](tcevd_tensorcore::GemmContext::syr2k_update)
-/// record for record, engine included.
-pub fn zy_trace_on(n: usize, b: usize, engine: Engine) -> SbrTrace {
-    let native_syr2k = matches!(engine, Engine::Sgemm);
-    let mut t = SbrTrace::default();
-    let mut i = 0;
-    while i + b < n {
-        let mp = n - i - b;
-        let kf = mp.min(b);
-        t.panels.push(PanelOp { rows: mp, cols: b });
-        t.gemms.push(rec_on(engine, "zy_aw", mp, kf, mp));
-        t.gemms.push(rec_on(engine, "zy_waw", kf, kf, mp));
-        t.gemms.push(rec_on(engine, "zy_z", mp, kf, kf));
-        t.gemms.push(rec_on(engine, "zy_syr2k", mp, mp, kf));
-        if !native_syr2k {
-            t.gemms.push(rec_on(engine, "zy_syr2k", mp, mp, kf));
-        }
-        i += b;
-    }
-    t
-}
-
 /// GEMM/panel trace of the WY-based SBR (mirrors [`crate::sbr_wy::sbr_wy`]
 /// without Q accumulation) on the default Tensor-Core engine.
 pub fn wy_trace(n: usize, b: usize, block: usize) -> SbrTrace {
@@ -112,7 +79,9 @@ pub fn wy_trace_on(n: usize, b: usize, block: usize, engine: Engine) -> SbrTrace
 /// one native record on [`Engine::Sgemm`] and two full outer products on
 /// the Tensor-Core engines (mirroring
 /// [`GemmContext::syr2k_update`](tcevd_tensorcore::GemmContext::syr2k_update)
-/// record for record).
+/// record for record). [`BlockEnd::Syr2k`] at `block = b` is the ZY trace:
+/// no next-panel update, and every level ends with the trailing update of
+/// its whole `mp×mp` block.
 pub fn blocked_trace_on(
     n: usize,
     b: usize,
@@ -122,6 +91,7 @@ pub fn blocked_trace_on(
 ) -> SbrTrace {
     let rec = |label, m, n, k| rec_on(engine, label, m, n, k);
     let nb = (block / b).max(1) * b;
+    let one_panel = end == BlockEnd::Syr2k && nb == b;
     let mut t = SbrTrace::default();
     let mut off = 0;
     while off + b < n {
@@ -142,18 +112,20 @@ pub fn blocked_trace_on(
             }
             t.gemms.push(rec("wy_aw_append", mp, kf, mp));
             k += kf;
-            let cw = b.min(mp - i);
-            t.gemms.push(rec("wy_inner_x", mp, cw, k));
-            t.gemms.push(rec("wy_inner_wx", k, cw, mp));
-            t.gemms.push(rec("wy_inner_ga", mp, cw, k));
+            if !one_panel {
+                let cw = b.min(mp - i);
+                t.gemms.push(rec("wy_inner_x", mp, cw, k));
+                t.gemms.push(rec("wy_inner_wx", k, cw, mp));
+                t.gemms.push(rec("wy_inner_ga", mp, cw, k));
+            }
             i += b;
         }
         t.level_widths.push(k);
         let processed = i;
-        if processed + b >= m {
+        if processed + b >= m && !one_panel {
             break;
         }
-        let mt = mp - processed;
+        let mt = if one_panel { mp } else { mp - processed };
         t.gemms.push(rec("wy_final_waw", k, k, mp));
         match end {
             BlockEnd::ThreeGemm => {
@@ -220,10 +192,8 @@ fn merge_rec(widths: &[usize], n: usize, engine: Engine, out: &mut Vec<GemmRecor
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::common::SbrOptions;
     use crate::panel::PanelKind;
     use crate::sbr_wy::{sbr_blocked, sbr_wy, WyOptions};
-    use crate::sbr_zy::sbr_zy;
     use tcevd_matrix::Mat;
     use tcevd_tensorcore::GemmContext;
     use tcevd_testmat::{generate, MatrixType};
@@ -232,13 +202,68 @@ mod tests {
         v.iter().map(|r| (r.label, r.m, r.n, r.k)).collect()
     }
 
+    /// Run the real ZY reduction (the syr2k end at `nb = b`) on a traced
+    /// context and return its GEMM records.
+    fn real_zy_trace(n: usize, b: usize, seed: u64, engine: Engine) -> Vec<GemmRecord> {
+        let a: Mat<f32> = generate(n, MatrixType::Normal, seed).cast();
+        let ctx = GemmContext::new(engine).with_trace();
+        let opts = WyOptions {
+            bandwidth: b,
+            block: b,
+            panel: PanelKind::Tsqr,
+            accumulate_q: false,
+        };
+        let _ = sbr_blocked(&a, &opts, BlockEnd::Syr2k, &ctx).expect("sbr reduction");
+        ctx.take_trace()
+    }
+
+    #[test]
+    fn one_panel_syr2k_trace_is_the_zy_sequence() {
+        // The conventional ZY reduction written out: per b-wide panel of
+        // mp = n − i − b rows, AW = A·W, Wᵀ·AW, Z = AW − ½·Y·(WᵀAW), then
+        // one rank-2b syr2k over the mp×mp trailing block — one native
+        // record on Sgemm, two outer-product GEMMs on the Tensor-Core
+        // engines. The blocked trace at nb = b must be exactly this.
+        for engine in [Engine::Sgemm, Engine::Tc, Engine::EcTc] {
+            for (n, b) in [
+                (64, 8),
+                (70, 8),
+                (96, 16),
+                (130, 4),
+                (257, 32),
+                (20, 16),
+                (9, 8),
+            ] {
+                let mut gemms = Vec::new();
+                let mut panels = Vec::new();
+                let mut i = 0;
+                while i + b < n {
+                    let mp = n - i - b;
+                    let kf = mp.min(b);
+                    panels.push(PanelOp { rows: mp, cols: b });
+                    gemms.push(rec_on(engine, "wy_aw_append", mp, kf, mp));
+                    gemms.push(rec_on(engine, "wy_final_waw", kf, kf, mp));
+                    gemms.push(rec_on(engine, "dbr_final_v", mp, kf, kf));
+                    gemms.push(rec_on(engine, "dbr_syr2k", mp, mp, kf));
+                    if engine != Engine::Sgemm {
+                        gemms.push(rec_on(engine, "dbr_syr2k", mp, mp, kf));
+                    }
+                    i += b;
+                }
+                let model = blocked_trace_on(n, b, b, BlockEnd::Syr2k, engine);
+                assert_eq!(model.gemms, gemms, "{engine:?} n={n} b={b}");
+                assert_eq!(model.panels, panels, "{engine:?} n={n} b={b}");
+            }
+        }
+    }
+
     #[test]
     fn model_labels_are_all_registered() {
         // The dry-run models must emit labels from the closed registry in
         // `tcevd-tensorcore::labels`, or fault plans / sanitizer reports /
         // per-label flop counters keyed on real traces can never match them.
         let mut recs = Vec::new();
-        recs.extend(zy_trace(64, 8).gemms);
+        recs.extend(blocked_trace_on(64, 8, 8, BlockEnd::Syr2k, Engine::Tc).gemms);
         recs.extend(wy_trace(64, 8, 16).gemms);
         recs.extend(blocked_trace_on(64, 8, 16, BlockEnd::Syr2k, Engine::Tc).gemms);
         recs.extend(formw_trace(64, 8, 16, 64));
@@ -255,20 +280,8 @@ mod tests {
     #[test]
     fn zy_model_matches_real_trace() {
         for (n, b) in [(96, 8), (70, 8), (64, 16), (30, 4)] {
-            let a: Mat<f32> = generate(n, MatrixType::Normal, 31).cast();
-            let ctx = GemmContext::new(Engine::Tc).with_trace();
-            let _ = sbr_zy(
-                &a,
-                &SbrOptions {
-                    bandwidth: b,
-                    panel: PanelKind::Tsqr,
-                    accumulate_q: false,
-                },
-                &ctx,
-            )
-            .expect("sbr reduction");
-            let real = ctx.take_trace();
-            let model = zy_trace(n, b);
+            let real = real_zy_trace(n, b, 31, Engine::Tc);
+            let model = blocked_trace_on(n, b, b, BlockEnd::Syr2k, Engine::Tc);
             assert_eq!(shapes(&real), shapes(&model.gemms), "n={n} b={b}");
         }
     }
@@ -361,20 +374,8 @@ mod tests {
         // syr2k record the real path emits.
         for engine in [Engine::Sgemm, Engine::Tc, Engine::EcTc] {
             let (n, b) = (64, 8);
-            let a: Mat<f32> = generate(n, MatrixType::Normal, 34).cast();
-            let ctx = GemmContext::new(engine).with_trace();
-            let _ = sbr_zy(
-                &a,
-                &SbrOptions {
-                    bandwidth: b,
-                    panel: PanelKind::Tsqr,
-                    accumulate_q: false,
-                },
-                &ctx,
-            )
-            .expect("sbr reduction");
-            let real = ctx.take_trace();
-            let model = zy_trace_on(n, b, engine);
+            let real = real_zy_trace(n, b, 34, engine);
+            let model = blocked_trace_on(n, b, b, BlockEnd::Syr2k, engine);
             assert_eq!(real, model.gemms, "engine {engine:?}");
         }
     }
@@ -382,13 +383,13 @@ mod tests {
     #[test]
     fn sgemm_zy_model_halves_syr2k_flops() {
         let (n, b) = (512, 32);
-        let tc = zy_trace_on(n, b, Engine::Tc);
-        let sg = zy_trace_on(n, b, Engine::Sgemm);
+        let tc = blocked_trace_on(n, b, b, BlockEnd::Syr2k, Engine::Tc);
+        let sg = blocked_trace_on(n, b, b, BlockEnd::Syr2k, Engine::Sgemm);
         assert!(sg.gemms.len() < tc.gemms.len());
         let syr2k_flops = |t: &SbrTrace| -> u64 {
             t.gemms
                 .iter()
-                .filter(|r| r.label == "zy_syr2k")
+                .filter(|r| r.label == "dbr_syr2k")
                 .map(|r| r.flops())
                 .sum()
         };
@@ -438,7 +439,7 @@ mod tests {
             last = f;
         }
         // and ZY does fewer
-        let zy = zy_trace(n, b).gemm_flops();
+        let zy = blocked_trace_on(n, b, b, BlockEnd::Syr2k, Engine::Tc).gemm_flops();
         assert!(zy < wy_trace(n, b, 128).gemm_flops());
     }
 
@@ -446,7 +447,7 @@ mod tests {
     fn table2_magnitudes_match_paper() {
         // Paper Table 2: ZY(128) = 0.70e14; WY(128) = 0.93e14; WY(4096) = 1.31e14.
         let n = 32768;
-        let zy = zy_trace(n, 128).gemm_flops() as f64;
+        let zy = blocked_trace_on(n, 128, 128, BlockEnd::Syr2k, Engine::Tc).gemm_flops() as f64;
         assert!((zy / 0.70e14 - 1.0).abs() < 0.15, "ZY flops {zy:.3e}");
         let wy128 = wy_trace(n, 128, 128).gemm_flops() as f64;
         assert!(

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use tcevd_band::{bulge_chase, sbr_wy, sbr_zy, PanelKind, SbrOptions, WyOptions};
+use tcevd_band::{bulge_chase, sbr_blocked, sbr_wy, BlockEnd, PanelKind, WyOptions};
 use tcevd_core::{tridiag_eig_dc, tridiag_eig_ql, SymTridiag};
 use tcevd_factor::qr::geqr2;
 use tcevd_factor::tsqr::tsqr;
@@ -119,13 +119,16 @@ fn bench_sbr(c: &mut Criterion) {
             let ctx = GemmContext::new(Engine::Tc);
             bch.iter(|| {
                 black_box(
-                    sbr_zy(
+                    // ZY: the syr2k block end at nb = b
+                    sbr_blocked(
                         &a,
-                        &SbrOptions {
+                        &WyOptions {
                             bandwidth: b,
+                            block: b,
                             panel: PanelKind::Tsqr,
                             accumulate_q: false,
                         },
+                        BlockEnd::Syr2k,
                         &ctx,
                     )
                     .expect("sbr reduction"),

@@ -18,7 +18,7 @@ pub use profile::{profile_run, ProfileRun};
 pub use schema::{compare, validate_bench_json};
 
 use std::fmt::Write as _;
-use tcevd_band::trace_model::{formw_trace, wy_trace, zy_trace};
+use tcevd_band::trace_model::{blocked_trace_on, formw_trace, wy_trace};
 use tcevd_band::{
     bulge_chase, form_wy, max_outside_band, sbr_blocked, sbr_wy, BlockEnd, PanelKind, WyOptions,
 };
@@ -85,7 +85,8 @@ pub fn table2() -> String {
         out,
         "Table 2 — arithmetic operations (×1e14), n = 32768, bandwidth {b}"
     );
-    let zy = zy_trace(n, b).gemm_flops() as f64 / 1e14;
+    // ZY is the syr2k block end at nb = b.
+    let zy = blocked_trace_on(n, b, b, BlockEnd::Syr2k, Engine::Tc).gemm_flops() as f64 / 1e14;
     let _ = writeln!(out, "{:>12} | {:>8} | paper", "variant", "flops");
     let _ = writeln!(out, "{:>12} | {:>8.2} | 0.70", "ZY b=128", zy);
     let paper = [0.93, 1.05, 1.12, 1.17, 1.22, 1.31];
@@ -142,7 +143,7 @@ pub fn fig6_fig7(engine: Engine) -> String {
     );
     for &n in &SIZES {
         let wy = wy_trace(n, BANDWIDTH, BLOCK);
-        let zy = zy_trace(n, BANDWIDTH);
+        let zy = blocked_trace_on(n, BANDWIDTH, BANDWIDTH, BlockEnd::Syr2k, Engine::Tc);
         let t_wy = model.gemm_time_total(&wy.gemms, engine);
         let t_zy = model.gemm_time_total(&zy.gemms, engine);
         let _ = writeln!(
@@ -171,7 +172,8 @@ pub fn fig8() -> String {
         "n", "TSQR", "cuSOLVER", "MAGMA"
     );
     for &n in &SIZES {
-        let tr = zy_trace(n, BANDWIDTH); // same panel sequence for either SBR
+        // the panel sequence is the same for every block size
+        let tr = blocked_trace_on(n, BANDWIDTH, BANDWIDTH, BlockEnd::Syr2k, Engine::Tc);
         let t = |kind| -> f64 { tr.panels.iter().map(|p| model.panel_time(p, kind)).sum() };
         let _ = writeln!(
             out,
@@ -407,7 +409,7 @@ pub fn futurework() -> String {
     );
     for &n in &SIZES {
         let wy = wy_trace(n, BANDWIDTH, BLOCK);
-        let zy = zy_trace(n, BANDWIDTH);
+        let zy = blocked_trace_on(n, BANDWIDTH, BANDWIDTH, BlockEnd::Syr2k, Engine::Tc);
         let t_wy = model
             .sbr_time(&wy, Engine::Tc, PanelCost::Tsqr, false)
             .total();

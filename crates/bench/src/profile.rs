@@ -35,16 +35,12 @@ pub struct ProfileRun {
 }
 
 /// Which pipeline stage issued a traced GEMM, by label prefix. The SBR
-/// stage owns every WY/DBR/ZY kernel plus Q accumulation (all run inside
+/// stage owns every blocked-SBR kernel plus Q accumulation (all run inside
 /// the `"sbr"` stage scope); the back-transformation owns the `evd_*`
 /// lifts, the FormW merge of the levels and the `backtransform_*` FormW
 /// application (`Q₁` is formed and applied after the tridiagonal solve).
 fn stage_of(label: &str) -> Option<&'static str> {
-    if label.starts_with("wy_")
-        || label.starts_with("zy_")
-        || label.starts_with("dbr_")
-        || label.starts_with("q_acc_")
-    {
+    if label.starts_with("wy_") || label.starts_with("dbr_") || label.starts_with("q_acc_") {
         Some("sbr")
     } else if label.starts_with("evd_")
         || label.starts_with("formw_")

@@ -51,10 +51,7 @@ use crate::ql::{
     tridiag_eig_ql_budget_with, tridiag_eigenvalues_budget_with, EigError, DEFAULT_MAX_ITER,
 };
 use crate::tridiag::SymTridiag;
-use tcevd_band::{
-    bulge_chase_with, form_wy, sbr_blocked, sbr_zy, BlockEnd, LevelWy, PanelKind, SbrOptions,
-    WyOptions,
-};
+use tcevd_band::{bulge_chase_with, form_wy, sbr_blocked, BlockEnd, LevelWy, PanelKind, WyOptions};
 use tcevd_matrix::{Mat, Op};
 use tcevd_prof::StageScope;
 use tcevd_tensorcore::GemmContext;
@@ -66,14 +63,15 @@ pub enum SbrVariant {
     /// The paper's WY-based Algorithm 1 with the given big-block size `nb`.
     /// `block` is validated like [`SbrVariant::Dbr`]'s.
     Wy { block: usize },
-    /// Conventional ZY-based SBR (MAGMA-style baseline).
-    Zy,
     /// Detached band reduction (the follow-up paper): the WY recursion with
     /// big-block size `nb` decoupled from the bandwidth and the trailing
     /// update folded into one rank-`nb` syr2k per block. `block` is
     /// validated against `n` and the bandwidth at run time — zero is a
     /// typed [`EvdError::InvalidInput`]; anything else is clamped to the
-    /// multiple-of-`b` grid the reduction walks.
+    /// multiple-of-`b` grid the reduction walks. A `block` that clamps to
+    /// the bandwidth (any `block < 2b`) is the conventional ZY-based SBR,
+    /// the MAGMA-style baseline: one panel per block, then one rank-2b
+    /// syr2k over the whole trailing matrix.
     Dbr { block: usize },
 }
 
@@ -504,13 +502,11 @@ fn run_pipeline(
         SbrVariant::Dbr { block } => SbrVariant::Dbr {
             block: validate_block(block, b, n)?,
         },
-        SbrVariant::Zy => SbrVariant::Zy,
     };
     if sink.is_enabled() {
         // Device-byte estimate from the MemoryModel (paper §7 footprints).
         let est = match sbr {
             SbrVariant::Wy { block } => tcevd_perfmodel::wy_memory(n, b, block).total(),
-            SbrVariant::Zy => tcevd_perfmodel::zy_memory(n, b).total(),
             SbrVariant::Dbr { block } => tcevd_perfmodel::dbr_memory(n, b, block).total(),
         };
         sink.add("sbr_bytes_est", est);
@@ -614,7 +610,7 @@ fn run_pipeline(
                 );
             }
             drop((q2, z));
-            Ok(q1.apply(x, ctx))
+            Ok(apply_q1(q1, x, ctx))
         },
         |x| all_finite(x.as_slice()),
     )?;
@@ -658,50 +654,23 @@ fn stage<T>(
     Ok(out)
 }
 
-/// Stage 1's orthogonal factor `Q₁`, in the form its SBR variant yields.
-enum Q1 {
-    /// Per-level WY factors (WY and DBR), merged by FormW when applied.
-    Levels(Vec<LevelWy>),
-    /// The dense `Q₁` that ZY accumulates during the reduction.
-    Dense(Mat<f32>),
-    /// Nothing to apply: values only, or `n ≤ b + 1` left SBR a no-op.
-    Identity,
-}
-
-impl Q1 {
-    /// `X ← Q₁·X`, for `X` with any number of columns.
-    fn apply(self, mut x: Mat<f32>, ctx: &GemmContext) -> Mat<f32> {
-        match self {
-            Q1::Levels(levels) => {
-                // Merge the levels in place into one n×K (W, Y) pair (paper
-                // Algorithm 2), drop them, then X ← (I − W·Yᵀ)·X — the
-                // FormW back-transformation (§4.4).
-                let (w, y) = form_wy(&levels, x.rows(), ctx);
-                drop(levels);
-                tcevd_band::apply_q(w.as_ref(), y.as_ref(), &mut x, ctx);
-                x
-            }
-            Q1::Dense(q1) => {
-                let mut xq = Mat::<f32>::zeros(x.rows(), x.cols());
-                ctx.gemm(
-                    "evd_q1x",
-                    1.0,
-                    q1.as_ref(),
-                    Op::NoTrans,
-                    x.as_ref(),
-                    Op::NoTrans,
-                    0.0,
-                    xq.as_mut(),
-                );
-                xq
-            }
-            Q1::Identity => x,
-        }
+/// `X ← Q₁·X`, for `X` with any number of columns, where `Q₁` is stage 1's
+/// per-level WY factors: merge them in place into one n×K (W, Y) pair (paper
+/// Algorithm 2), drop them, then X ← (I − W·Yᵀ)·X — the FormW
+/// back-transformation (§4.4). No levels (values only, or `n ≤ b + 1` left
+/// SBR a no-op) means `Q₁ = I`.
+fn apply_q1(levels: Vec<LevelWy>, mut x: Mat<f32>, ctx: &GemmContext) -> Mat<f32> {
+    if levels.is_empty() {
+        return x;
     }
+    let (w, y) = form_wy(&levels, x.rows(), ctx);
+    drop(levels);
+    tcevd_band::apply_q(w.as_ref(), y.as_ref(), &mut x, ctx);
+    x
 }
 
 /// Stage 1: successive band reduction, dispatched once over the SBR
-/// variants. `Q₁` is kept only when `vectors` is set.
+/// variants. `Q₁`'s levels are kept only when `vectors` is set.
 fn reduce(
     a: &Mat<f32>,
     b: usize,
@@ -709,17 +678,8 @@ fn reduce(
     panel: PanelKind,
     vectors: bool,
     ctx: &GemmContext,
-) -> Result<(Mat<f32>, Q1), EvdError> {
+) -> Result<(Mat<f32>, Vec<LevelWy>), EvdError> {
     let (block, end) = match sbr {
-        SbrVariant::Zy => {
-            let zy = SbrOptions {
-                bandwidth: b,
-                panel,
-                accumulate_q: vectors,
-            };
-            let r = sbr_zy(a, &zy, ctx)?;
-            return Ok((r.band, r.q.map_or(Q1::Identity, Q1::Dense)));
-        }
         SbrVariant::Wy { block } => (block, BlockEnd::ThreeGemm),
         SbrVariant::Dbr { block } => (block, BlockEnd::Syr2k),
     };
@@ -731,12 +691,8 @@ fn reduce(
     };
     let r = sbr_blocked(a, &opts, end, ctx)?;
     // Both block ends emit the same per-level (W, Y), which FormW merges.
-    let q1 = if vectors && !r.levels.is_empty() {
-        Q1::Levels(r.levels)
-    } else {
-        Q1::Identity
-    };
-    Ok((r.band, q1))
+    let levels = if vectors { r.levels } else { Vec::new() };
+    Ok((r.band, levels))
 }
 
 /// `opts.trace` routes pipeline stage spans and counters into the
@@ -949,7 +905,7 @@ mod tests {
         let ctx = GemmContext::new(Engine::Sgemm);
         let o = SymEigOptions {
             bandwidth: 8,
-            sbr: SbrVariant::Zy,
+            sbr: SbrVariant::Dbr { block: 8 },
             panel: PanelKind::Tsqr,
             solver: TridiagSolver::Ql,
             vectors: false,
@@ -977,14 +933,14 @@ mod tests {
     }
 
     #[test]
-    fn eigenvectors_via_zy_dense_q() {
+    fn eigenvectors_via_zy_levels() {
         let n = 64;
         let a64 = generate(n, MatrixType::Arith { cond: 1e2 }, 55);
         let a: Mat<f32> = a64.cast();
         let ctx = GemmContext::new(Engine::Sgemm);
         let o = SymEigOptions {
             bandwidth: 8,
-            sbr: SbrVariant::Zy,
+            sbr: SbrVariant::Dbr { block: 8 },
             panel: PanelKind::Tsqr,
             solver: TridiagSolver::DivideConquer,
             vectors: true,
@@ -1197,10 +1153,10 @@ mod tests {
         ));
     }
 
-    /// ZY's dense Q₁ back-transforms the selected columns directly: values
-    /// and residuals match the corresponding slice of the full ZY solve
-    /// within `c·n·u·‖A‖`, and the selected path emits the SBR byte
-    /// estimate like the full one.
+    /// ZY (the syr2k end at nb = b) back-transforms the selected columns
+    /// through FormW: values and residuals match the corresponding slice of
+    /// the full ZY solve within `c·n·u·‖A‖`, and the selected path emits
+    /// the SBR byte estimate like the full one.
     #[test]
     fn selected_zy_matches_full_zy_slice() {
         use crate::bisect::EigRange;
@@ -1209,12 +1165,12 @@ mod tests {
         let sink = TraceSink::enabled();
         let ctx = GemmContext::new(Engine::Sgemm).with_sink(sink.clone());
         let mut o = opts(b, 16);
-        o.sbr = SbrVariant::Zy;
+        o.sbr = SbrVariant::Dbr { block: b };
         o.trace = true;
         let sel = sym_eig_selected(&a, EigRange::Index { lo: n - k, hi: n }, &o, &ctx).unwrap();
         assert_eq!(
             sink.counter("sbr_bytes_est"),
-            tcevd_perfmodel::zy_memory(n, b).total()
+            tcevd_perfmodel::dbr_memory(n, b, b).total()
         );
         o.vectors = true;
         let full = sym_eig(&a, &o, &GemmContext::new(Engine::Sgemm)).unwrap();

@@ -55,6 +55,12 @@
 //!   `NC % nr == 0`, no duplicate `(scalar, class)` entries — because the
 //!   runtime loader drops bad lines silently by design.
 //!
+//! And one checks the rules' own configuration:
+//!
+//! - **R13** every entry of a rule's path list (`R3_FILES`, `R9_FILES`,
+//!   …) matches a workspace file, so deleting or renaming a file cannot
+//!   silently take a rule's coverage with it.
+//!
 //! Findings can be waived line-locally with a
 //! `// tcevd-lint: allow(R3)` comment; the waiver covers the comment's
 //! line and the two lines after it. Waivers are applied centrally, after
@@ -382,6 +388,9 @@ pub fn lint_workspace_filtered(root: &Path, filters: &[String]) -> Vec<Diagnosti
         .collect();
     let mut diags = analyze_files(&files, &reg, &mut used);
     if filters.is_empty() {
+        let paths: Vec<String> = files.iter().map(|(p, _)| p.clone()).collect();
+        let rules_src = include_str!("rules.rs");
+        rules::r13_stale_file_lists(rules::FILE_LISTS, &paths, rules_src, &mut diags);
         rules::r1_unused_entries(&reg, &used, &mut diags);
         let costs_src = std::fs::read_to_string(root.join(COSTS_PATH)).unwrap_or_default();
         rules::r6_cost_registry(&reg, &parse_costs(&costs_src), &mut diags);

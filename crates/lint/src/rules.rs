@@ -19,6 +19,7 @@
 //! | R10 | determinism discipline: no sync primitives in parallel regions, no HashMap/HashSet iteration, counters from wall-clock/thread identity only in `time.`/`par.` |
 //! | R11 | serve lock discipline: canonical Mutex order, condvar waits in predicate loops, poison-recovering `lock()` helper only |
 //! | R12 | the committed GEMM tuning table parses and satisfies the `tile` dispatch invariants (known names, instantiated kernels, divisibility, no duplicates) |
+//! | R13 | every entry of a rule's path list (`R3_FILES`, `R9_FILES`, …) matches a workspace file |
 //! | W1 | every `tcevd-lint: allow(…)` waiver suppresses at least one finding |
 
 use crate::callgraph::{self, FileUnit, Graph};
@@ -32,7 +33,6 @@ pub const R3_FILES: &[&str] = &[
     "crates/band/src/formw.rs",
     "crates/band/src/panel.rs",
     "crates/band/src/sbr_wy.rs",
-    "crates/band/src/sbr_zy.rs",
     "crates/core/src/pipeline.rs",
     "crates/tensorcore/src/engine.rs",
 ];
@@ -46,7 +46,6 @@ pub const R7_FILES: &[&str] = &["crates/serve/"];
 pub const R4_FILES: &[&str] = &[
     "crates/band/src/formw.rs",
     "crates/band/src/sbr_wy.rs",
-    "crates/band/src/sbr_zy.rs",
     "crates/core/src/pipeline.rs",
     "crates/factor/src/reconstruct.rs",
 ];
@@ -70,6 +69,20 @@ fn diag(out: &mut Vec<Diagnostic>, path: &str, line: usize, rule: &'static str, 
         message: msg,
     });
 }
+
+/// Every path list that scopes a rule, by its constant's name (R13).
+pub const FILE_LISTS: &[(&str, &[&str])] = &[
+    ("R1_EXEMPT", R1_EXEMPT),
+    ("R2_ALLOWED", R2_ALLOWED),
+    ("R3_FILES", R3_FILES),
+    ("R4_FILES", R4_FILES),
+    ("R7_FILES", R7_FILES),
+    ("R9_FILES", R9_FILES),
+    ("R10_SYNC_EXEMPT", R10_SYNC_EXEMPT),
+];
+
+/// Workspace path of this file, where R13 findings point.
+pub const RULES_PATH: &str = "crates/lint/src/rules.rs";
 
 fn in_list(path: &str, list: &[&str]) -> bool {
     list.iter().any(|p| {
@@ -538,13 +551,11 @@ pub fn r8_transitive_panics(units: &[FileUnit], g: &Graph, out: &mut Vec<Diagnos
 }
 
 /// Files whose loops carry the cancellation-seam contract (R9): the SBR
-/// variants, bulge chasing, the pipeline driver, and the service layer.
+/// loop, bulge chasing, the pipeline driver, and the service layer.
 pub const R9_FILES: &[&str] = &[
     "crates/band/src/sbr_wy.rs",
-    "crates/band/src/sbr_zy.rs",
     "crates/band/src/bulge.rs",
     "crates/band/src/bulge_packed.rs",
-    "crates/band/src/multisweep.rs",
     "crates/core/src/pipeline.rs",
     "crates/serve/",
 ];
@@ -1153,6 +1164,58 @@ pub fn r12_tuning_table(path: &str, text: &str, out: &mut Vec<Diagnostic>) {
                 .to_string(),
         );
     }
+}
+
+/// R13: every entry of a rule's path list matches at least one workspace
+/// file — an entry ending in `/` by prefix, any other exactly, as the rules
+/// match them. An entry left behind by a deleted or renamed file scopes
+/// nothing, so its rule silently stops covering what the entry meant.
+/// `lists` pairs each list's constant name with its entries (the live lint
+/// passes [`FILE_LISTS`]); `paths` are the workspace-relative `.rs` paths;
+/// `src` is the source declaring the lists, where each finding points at
+/// the stale entry's line.
+pub fn r13_stale_file_lists(
+    lists: &[(&str, &[&str])],
+    paths: &[String],
+    src: &str,
+    out: &mut Vec<Diagnostic>,
+) {
+    for (name, list) in lists {
+        for entry in list.iter() {
+            if paths.iter().any(|p| in_list(p, &[*entry])) {
+                continue;
+            }
+            diag(
+                out,
+                RULES_PATH,
+                entry_line(src, name, entry),
+                "R13",
+                format!(
+                    "{name} entry {entry:?} matches no workspace file — drop it, \
+                     or name the file that replaced it"
+                ),
+            );
+        }
+    }
+}
+
+/// Line of `entry`'s string literal in the declaration of list `name` in
+/// `src` (1 when it cannot be found).
+fn entry_line(src: &str, name: &str, entry: &str) -> usize {
+    let decl = format!("const {name}:");
+    let literal = format!("\"{entry}\"");
+    let lines: Vec<&str> = src.lines().collect();
+    lines
+        .iter()
+        .position(|l| l.contains(&decl))
+        .and_then(|d| {
+            lines
+                .iter()
+                .skip(d)
+                .position(|l| l.contains(&literal))
+                .map(|i| d + i + 1)
+        })
+        .unwrap_or(1)
 }
 
 #[cfg(test)]

@@ -245,6 +245,48 @@ fn unused_registry_entries_are_flagged() {
     );
 }
 
+/// R13: a path-list entry that matches no workspace file is a finding at
+/// the entry's own line; exact entries and `/`-prefix entries that still
+/// match stay silent.
+#[test]
+fn r13_stale_file_list_entries_are_flagged() {
+    let src = "\
+pub const R3_FILES: &[&str] = &[
+    \"crates/a/src/kept.rs\",
+    \"crates/a/src/gone.rs\",
+];
+pub const R9_FILES: &[&str] = &[\"crates/a/src/gone.rs\", \"crates/a/\", \"crates/b/\"];
+";
+    let lists: &[(&str, &[&str])] = &[
+        (
+            "R3_FILES",
+            &["crates/a/src/kept.rs", "crates/a/src/gone.rs"],
+        ),
+        (
+            "R9_FILES",
+            &["crates/a/src/gone.rs", "crates/a/", "crates/b/"],
+        ),
+    ];
+    let paths = vec![
+        "crates/a/src/kept.rs".to_string(),
+        "crates/a/src/lib.rs".to_string(),
+    ];
+    let mut out = Vec::new();
+    rules::r13_stale_file_lists(lists, &paths, src, &mut out);
+    let got: Vec<String> = out.iter().map(|d| d.to_string()).collect();
+    assert_eq!(
+        got,
+        [
+            "crates/lint/src/rules.rs:3: R13: R3_FILES entry \"crates/a/src/gone.rs\" \
+             matches no workspace file — drop it, or name the file that replaced it",
+            "crates/lint/src/rules.rs:5: R13: R9_FILES entry \"crates/a/src/gone.rs\" \
+             matches no workspace file — drop it, or name the file that replaced it",
+            "crates/lint/src/rules.rs:5: R13: R9_FILES entry \"crates/b/\" \
+             matches no workspace file — drop it, or name the file that replaced it",
+        ]
+    );
+}
+
 /// The self-check: linting the actual workspace this crate lives in must
 /// produce zero findings. Any regression in the real pipeline sources
 /// fails this test before CI even reaches the dedicated lint job.

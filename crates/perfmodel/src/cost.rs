@@ -175,7 +175,8 @@ impl A100Model {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcevd_band::trace_model::{wy_trace, zy_trace};
+    use tcevd_band::trace_model::{blocked_trace_on, wy_trace};
+    use tcevd_band::BlockEnd;
 
     fn rec(m: usize, n: usize, k: usize) -> GemmRecord {
         GemmRecord {
@@ -240,7 +241,7 @@ mod tests {
         let m = A100Model::default();
         let n = 32768;
         let wy = wy_trace(n, 128, 1024);
-        let zy = zy_trace(n, 128);
+        let zy = blocked_trace_on(n, 128, 128, BlockEnd::Syr2k, Engine::Tc);
         let wy_tc = m.gemm_time_total(&wy.gemms, Engine::Tc);
         let zy_tc = m.gemm_time_total(&zy.gemms, Engine::Tc);
         assert!(wy_tc < zy_tc, "WY {wy_tc} should beat ZY {zy_tc} on TC");

@@ -1,7 +1,8 @@
 //! Named experiment configurations — the lines/bars of the paper's figures.
 
 use crate::cost::{A100Model, PanelCost, SbrCost};
-use tcevd_band::trace_model::{wy_trace, zy_trace, zy_trace_on};
+use tcevd_band::trace_model::{blocked_trace_on, wy_trace};
+use tcevd_band::BlockEnd;
 use tcevd_tensorcore::Engine;
 
 /// One SBR configuration as plotted in Figures 9 and 10.
@@ -50,13 +51,18 @@ pub fn sbr_cost(model: &A100Model, n: usize, b: usize, config: SbrConfig) -> Sbr
         SbrConfig::WyTcNoTsqr { nb } => {
             model.sbr_time(&wy_trace(n, b, nb), Engine::Tc, PanelCost::Cusolver, false)
         }
-        SbrConfig::ZyTc => model.sbr_time(&zy_trace(n, b), Engine::Tc, PanelCost::Tsqr, false),
+        SbrConfig::ZyTc => model.sbr_time(
+            &blocked_trace_on(n, b, b, BlockEnd::Syr2k, Engine::Tc),
+            Engine::Tc,
+            PanelCost::Tsqr,
+            false,
+        ),
         SbrConfig::Magma => {
             // engine-faithful trace: the Sgemm path already records its
             // rank-2k updates as single native-syr2k GEMMs (half flops), so
             // no post-hoc halving (`syr2k_native = false`) is needed.
             model.sbr_time(
-                &zy_trace_on(n, b, Engine::Sgemm),
+                &blocked_trace_on(n, b, b, BlockEnd::Syr2k, Engine::Sgemm),
                 Engine::Sgemm,
                 PanelCost::Magma,
                 false,

@@ -29,23 +29,6 @@ pub struct GemmCost {
 /// group. `accumulates` is read off the label's call sites (lint rule R6
 /// checks coverage; the runtime cross-check in `tests` checks accuracy).
 pub const GEMM_COSTS: &[GemmCost] = &[
-    // ZY-based SBR (sbr_zy.rs)
-    GemmCost {
-        label: "zy_aw",
-        accumulates: false,
-    },
-    GemmCost {
-        label: "zy_syr2k",
-        accumulates: true,
-    },
-    GemmCost {
-        label: "zy_waw",
-        accumulates: false,
-    },
-    GemmCost {
-        label: "zy_z",
-        accumulates: true,
-    },
     // Blocked SBR: shared recursion and the three-GEMM block end (sbr_wy.rs)
     GemmCost {
         label: "wy_acc_w",
@@ -127,10 +110,6 @@ pub const GEMM_COSTS: &[GemmCost] = &[
         accumulates: true,
     },
     // EVD pipeline (core)
-    GemmCost {
-        label: "evd_q1x",
-        accumulates: false,
-    },
     GemmCost {
         label: "evd_q2z",
         accumulates: false,

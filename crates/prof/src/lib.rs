@@ -152,8 +152,8 @@ mod tests {
         };
         {
             let _s = StageScope::begin(&sink, "sbr");
-            run("zy_aw");
-            run("zy_waw");
+            run("wy_aw_append");
+            run("wy_final_waw");
         }
         {
             let _s = StageScope::begin(&sink, "back_transform");
@@ -205,7 +205,7 @@ mod tests {
             let _scratch = Mat::<f32>::zeros(64 * (attempt as usize + 1), 64);
             let mut c = Mat::<f32>::zeros(4, 4);
             ctx.gemm(
-                "evd_q1x",
+                "evd_q2z",
                 1.0,
                 a.as_ref(),
                 Op::NoTrans,

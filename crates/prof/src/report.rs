@@ -384,7 +384,7 @@ mod tests {
             let a = Mat::<f32>::identity(8, 8);
             let mut c = Mat::<f32>::zeros(8, 8);
             ctx.gemm(
-                "zy_aw",
+                "wy_aw_append",
                 1.0,
                 a.as_ref(),
                 Op::NoTrans,

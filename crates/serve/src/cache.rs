@@ -51,7 +51,6 @@ fn hash_options(fnv: &mut Fnv, opts: &SymEigOptions, engine: Engine) {
             fnv.write_u32(0);
             fnv.write_u64(block as u64);
         }
-        SbrVariant::Zy => fnv.write_u32(1),
         SbrVariant::Dbr { block } => {
             fnv.write_u32(2);
             fnv.write_u64(block as u64);
@@ -189,20 +188,19 @@ mod tests {
 
     #[test]
     fn sbr_variants_key_distinctly() {
-        // Wy{nb}, Zy, and Dbr{nb} must never collide — Dbr at the same
-        // block size computes different bits than Wy, so sharing a key
-        // would serve the wrong variant's cached result.
+        // Wy{nb} and Dbr{nb} must never collide — Dbr at the same block
+        // size computes different bits than Wy, so sharing a key would
+        // serve the wrong variant's cached result. (Dbr at nb = b is the
+        // ZY baseline; it has no key of its own.)
         let a = Mat::<f32>::identity(4, 4);
         let with = |sbr| SymEigOptions {
             sbr,
             ..SymEigOptions::default()
         };
         let wy = cache_key(&a, &with(SbrVariant::Wy { block: 32 }), Engine::Sgemm);
-        let zy = cache_key(&a, &with(SbrVariant::Zy), Engine::Sgemm);
         let dbr = cache_key(&a, &with(SbrVariant::Dbr { block: 32 }), Engine::Sgemm);
         let dbr2 = cache_key(&a, &with(SbrVariant::Dbr { block: 64 }), Engine::Sgemm);
         assert_ne!(wy, dbr);
-        assert_ne!(zy, dbr);
         assert_ne!(dbr, dbr2);
     }
 

@@ -27,11 +27,6 @@
 /// it. Keep sorted within each group; `tcevd-lint` R1 enforces that the set
 /// exactly matches the labels used by live call sites.
 pub const GEMM_LABELS: &[&str] = &[
-    // tcevd-band: ZY-representation SBR (sbr_zy.rs)
-    "zy_aw",
-    "zy_syr2k",
-    "zy_waw",
-    "zy_z",
     // tcevd-band: blocked SBR (sbr_wy.rs) — the panel and next-panel
     // recursion plus T2 = Wᵀ·T1, shared by both block ends, and the paper's
     // Algorithm 1 three-GEMM block end
@@ -46,7 +41,8 @@ pub const GEMM_LABELS: &[&str] = &[
     "wy_inner_ga",
     "wy_inner_wx",
     "wy_inner_x",
-    // tcevd-band: the detached band reduction's syr2k block end (sbr_wy.rs)
+    // tcevd-band: the detached band reduction's syr2k block end (sbr_wy.rs);
+    // at nb = b it is the conventional ZY reduction's Z and syr2k
     "dbr_final_v",
     "dbr_syr2k",
     // tcevd-band: recursive FormW merge + back-transformation (formw.rs)
@@ -58,7 +54,6 @@ pub const GEMM_LABELS: &[&str] = &[
     "q_acc_qw",
     "q_acc_update",
     // tcevd-core: EVD pipeline back-transformation (pipeline.rs)
-    "evd_q1x",
     "evd_q2z",
     "evd_sel_q2z",
 ];
@@ -83,7 +78,7 @@ mod tests {
     #[test]
     fn membership_queries() {
         assert!(is_registered("evd_q2z"));
-        assert!(is_registered("zy_syr2k"));
+        assert!(is_registered("dbr_syr2k"));
         assert!(is_registered("wy_inner_x"));
         assert!(!is_registered(""));
         assert!(!is_registered("warp_drive"));

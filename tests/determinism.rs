@@ -161,7 +161,7 @@ fn thread_count_is_invisible_zy_householder_ql() {
         9,
         96,
         8,
-        SbrVariant::Zy,
+        SbrVariant::Dbr { block: 8 }, // nb = b: the ZY baseline
         PanelKind::Householder,
         TridiagSolver::Ql,
     );

@@ -84,7 +84,7 @@ fn wy_and_zy_pipelines_agree() {
     let ctx = GemmContext::new(Engine::Sgemm);
     let v_wy = sym_eigenvalues(&a, &opts(8, 32, false), &ctx).unwrap();
     let mut o = opts(8, 32, false);
-    o.sbr = SbrVariant::Zy;
+    o.sbr = SbrVariant::Dbr { block: 8 }; // nb = b: the ZY baseline
     let v_zy = sym_eigenvalues(&a, &o, &ctx).unwrap();
     let scale = v_wy.iter().fold(0.0f32, |m, v| m.max(v.abs()));
     for (a, b) in v_wy.iter().zip(v_zy.iter()) {

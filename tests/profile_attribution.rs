@@ -52,7 +52,8 @@ fn traced_pipeline(n: usize, seed: u64, sbr: SbrVariant) -> (GemmContext, TraceS
 #[test]
 fn cost_registry_matches_runtime_byte_counters() {
     let _serial = RUN_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    for sbr in [SbrVariant::Wy { block: 32 }, SbrVariant::Zy] {
+    // Dbr at nb = b (the pipeline's bandwidth, 8) is the ZY baseline.
+    for sbr in [SbrVariant::Wy { block: 32 }, SbrVariant::Dbr { block: 8 }] {
         let (ctx, sink) = traced_pipeline(96, 11, sbr);
         let records = ctx.take_trace();
         assert!(!records.is_empty());

@@ -374,8 +374,9 @@ proptest! {
         let boundary_clear = |x: f32| {
             full.values.iter().all(|v| (v - x).abs() > 1e-3)
         };
-        // every SBR variant back-transforms the selected columns natively
-        for sbr in [opts.sbr, SbrVariant::Zy] {
+        // every SBR variant back-transforms the selected columns natively,
+        // ZY (Dbr at nb = b) included
+        for sbr in [opts.sbr, SbrVariant::Dbr { block: 4 }] {
             let opts = SymEigOptions { sbr, ..opts };
             // index range as drawn (possibly empty / inverted / past n)
             check_selected_against_full(

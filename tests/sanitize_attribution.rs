@@ -144,12 +144,13 @@ fn sbr_stage_fault_is_attributed_with_sbr_stage() {
 
 #[test]
 fn zy_variant_fault_is_attributed_with_sbr_stage() {
+    // ZY is Dbr at nb = b; its A·W product is `wy_aw_append`.
     let (r, sink) = run_plan(
-        r#"[{"kind": "gemm", "label": "zy_aw", "mode": "inf"}]"#,
-        &opts(SbrVariant::Zy),
+        r#"[{"kind": "gemm", "label": "wy_aw_append", "mode": "inf"}]"#,
+        &opts(SbrVariant::Dbr { block: 4 }),
     );
     assert_eq!(sink.counter("fault.gemm_injected"), 1);
-    assert_attributed(&r, &sink, "zy_aw", EvdStage::Sbr);
+    assert_attributed(&r, &sink, "wy_aw_append", EvdStage::Sbr);
 }
 
 #[test]

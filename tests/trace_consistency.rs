@@ -5,13 +5,23 @@
 
 use tcevd::band::form_wy;
 use tcevd::band::{
-    formw_trace, sbr_wy, sbr_zy, wy_trace, wy_trace_on, zy_trace, zy_trace_on, PanelKind,
-    SbrOptions, WyOptions,
+    blocked_trace_on, formw_trace, sbr_blocked, sbr_wy, wy_trace, wy_trace_on, BlockEnd, PanelKind,
+    WyOptions,
 };
 use tcevd::matrix::Mat;
 use tcevd::perfmodel::{sbr_cost, A100Model, SbrConfig};
 use tcevd::tensorcore::{Engine, GemmContext};
 use tcevd::testmat::{generate, MatrixType};
+
+/// The conventional ZY reduction: the blocked SBR's syr2k end at nb = b.
+fn zy_options(b: usize) -> WyOptions {
+    WyOptions {
+        bandwidth: b,
+        block: b,
+        panel: PanelKind::Tsqr,
+        accumulate_q: false,
+    }
+}
 
 #[test]
 fn real_and_model_traces_agree_across_configs() {
@@ -43,22 +53,13 @@ fn real_and_model_traces_agree_across_configs() {
         assert_eq!(real, model, "WY n={n} b={b} nb={nb}");
 
         let ctx = GemmContext::new(Engine::Tc).with_trace();
-        let _ = sbr_zy(
-            &a,
-            &SbrOptions {
-                bandwidth: b,
-                panel: PanelKind::Tsqr,
-                accumulate_q: false,
-            },
-            &ctx,
-        )
-        .expect("sbr reduction");
+        let _ = sbr_blocked(&a, &zy_options(b), BlockEnd::Syr2k, &ctx).expect("sbr reduction");
         let real: Vec<_> = ctx
             .take_trace()
             .iter()
             .map(|r| (r.label, r.m, r.n, r.k))
             .collect();
-        let model: Vec<_> = zy_trace(n, b)
+        let model: Vec<_> = blocked_trace_on(n, b, b, BlockEnd::Syr2k, Engine::Tc)
             .gemms
             .iter()
             .map(|r| (r.label, r.m, r.n, r.k))
@@ -77,19 +78,10 @@ fn real_and_model_engine_fields_agree() {
     let a: Mat<f32> = generate(n, MatrixType::Normal, 9).cast();
     for engine in [Engine::Sgemm, Engine::Tc, Engine::EcTc] {
         let ctx = GemmContext::new(engine).with_trace();
-        let _ = sbr_zy(
-            &a,
-            &SbrOptions {
-                bandwidth: b,
-                panel: PanelKind::Tsqr,
-                accumulate_q: false,
-            },
-            &ctx,
-        )
-        .expect("sbr reduction");
+        let _ = sbr_blocked(&a, &zy_options(b), BlockEnd::Syr2k, &ctx).expect("sbr reduction");
         assert_eq!(
             ctx.take_trace(),
-            zy_trace_on(n, b, engine).gemms,
+            blocked_trace_on(n, b, b, BlockEnd::Syr2k, engine).gemms,
             "ZY {engine:?}"
         );
 
@@ -150,7 +142,11 @@ fn table2_flop_counts_in_paper_band() {
     // the absolute numbers of the paper's Table 2
     let n = 32768;
     let checks = [
-        (zy_trace(n, 128).gemm_flops() as f64, 0.70e14, 0.15),
+        (
+            blocked_trace_on(n, 128, 128, BlockEnd::Syr2k, Engine::Tc).gemm_flops() as f64,
+            0.70e14,
+            0.15,
+        ),
         (wy_trace(n, 128, 128).gemm_flops() as f64, 0.93e14, 0.20),
         (wy_trace(n, 128, 1024).gemm_flops() as f64, 1.17e14, 0.25),
         (wy_trace(n, 128, 4096).gemm_flops() as f64, 1.31e14, 0.30),
