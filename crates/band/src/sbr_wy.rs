@@ -53,10 +53,13 @@
 //! and only the panel loop reads it; the block end takes `T1` from the
 //! cached `AW` and updates `a`'s trailing block in place, since the panel
 //! loop writes only the rows and columns above `processed` and leaves
-//! `OA_t` there. `OA` is dropped when the panel loop ends. Later levels also
-//! hold the `(W, Y)` of the levels before them, but a smaller `OA`; at the
-//! sizes `tests/stage_workspace.rs` measures (b = 32, nb = 256) the peak is
-//! the first level's first panel, with these buffers alive:
+//! `OA_t` there. `OA` is dropped when the panel loop ends. The one-panel
+//! (ZY) setting makes no copy: its one panel writes only columns
+//! `off..off+b` and their mirror, so `wy_aw_append` reads `OA` straight
+//! from `a`'s trailing block. Later levels also hold the `(W, Y)` of the
+//! levels before them, but a smaller `OA`; at the sizes
+//! `tests/stage_workspace.rs` measures (b = 32, nb = 256) the peak is the
+//! first level's first panel, with these buffers alive:
 //!
 //! * the working copy of the input (n×n);
 //! * `OA` (mp×mp);
@@ -209,8 +212,11 @@ pub fn sbr_blocked(
         let mp = m - b; // rows below the first band block ("OA'" of the paper)
 
         // The original trailing matrix of this level (paper line 3:
-        // OA = oriA(b+1:n, b+1:n)).
-        let oa = a.submatrix(off + b, off + b, mp, mp);
+        // OA = oriA(b+1:n, b+1:n)). The one-panel setting copies nothing:
+        // its only reader is the level's one `wy_aw_append`, and the panel
+        // write-back touches only columns off..off+b and their mirror, so
+        // a's trailing block still holds OA there.
+        let oa = (!one_panel).then(|| a.submatrix(off + b, off + b, mp, mp));
 
         // Aggregated W, Y over this big block (mp × ≤nb), and the cached
         // product AW = OA·W, maintained incrementally: appending the new
@@ -280,10 +286,14 @@ pub fn sbr_blocked(
                 }
                 // Extend the cached AW with the new aggregated columns:
                 // AW[:, k..k+kf] = OA·w_emb.
+                let oa_ref = match &oa {
+                    Some(oa) => oa.as_ref(),
+                    None => a.view(off + b, off + b, mp, mp),
+                };
                 ctx.gemm(
                     "wy_aw_append",
                     1.0,
-                    oa.as_ref(),
+                    oa_ref,
                     Op::NoTrans,
                     w_emb.as_ref(),
                     Op::NoTrans,
@@ -297,7 +307,7 @@ pub fn sbr_blocked(
 
             // 3. Update only the NEXT panel's columns, from the original OA:
             //    GA = [(I − Y·Wᵀ)·OA·(I − W·Yᵀ)][:, c'] ,  c' = i..i+cw.
-            if !one_panel {
+            if let Some(oa) = &oa {
                 let cw = b.min(mp - i); // next-block width (clipped at the edge)
                 let _update_span = span!(sink, "block_update", i, k, cw);
                 let w_k = wacc.view(0, 0, mp, k);

@@ -11,35 +11,53 @@
 //!    clustered eigenvalues.
 //!
 //! Roots are stored as `(origin, offset)` pairs so every difference
-//! `λ − d_i` is computed without cancellation.
+//! `λ − d_i` is computed without cancellation. The secular function sums
+//! its terms in `SECULAR_LANES` (8) partial sums reduced in a fixed order, so
+//! every root is the same bits on every kernel tier and thread count.
+//!
+//! # Rows kept
+//!
+//! A merge reads only two rows of its halves' eigenvector matrices: `z` is
+//! the last row of `Q₁` followed by the first row of `Q₂`. [`DcRows`] picks
+//! what the recursion carries. [`DcRows::All`] keeps every row and returns
+//! the full `Z`. [`DcRows::Ends`] keeps each subproblem's first and last
+//! rows only (Zhan et al., eigenvalue-only D&C): a leaf keeps rows
+//! `{0, last}` of its QL `Z`, a merge runs on 2-row `Q₁`, `Q₂` and its
+//! 4-row output is cut back to rows `{0, 3}`. The merge itself is the same
+//! code in both settings, and the eigenvalues are the same bits: deflation
+//! rotations and the final column sort are row-local, and
+//! [`tcevd_matrix::blas3::gemm`] pins its k-blocking per scalar type, so no
+//! output element depends on how many rows are computed.
 //!
 //! # Column types
 //!
 //! The merge never forms the block-diagonal basis `diag(Q₁, Q₂)`. It keeps
-//! `Q₁` (m×m) and `Q₂` ((n−m)×(n−m)) as the recursion returns them, sorts
+//! `Q₁` (r₁×m) and `Q₂` (r₂×(n−m)) as the recursion returns them, sorts
 //! and deflates through an index array, and records for each coordinate
-//! which column of `Q₁` holds its top half (rows `0..m`) and which column of
-//! `Q₂` its bottom half (rows `m..n`). A coordinate starts with exactly one
-//! half. A deflation rotation between a `Q₁` and a `Q₂` coordinate makes
-//! both columns *dense*: the deflated one is written straight into the
-//! output, the surviving one keeps a top half in `Q₁` and a bottom half in
-//! `Q₂`, both rotated in place. The active columns then fall into LAPACK
-//! `laed2`'s three types — top-only, dense, bottom-only — and the rows of
-//! the secular eigenvector matrix `U` are ordered that way. Gathering the
-//! matching `Q₁` and `Q₂` columns to the front of each block (in place)
-//! turns `diag(Q₁, Q₂)·U` into two GEMMs with no structural zeros:
+//! which column of `Q₁` holds its top half (rows `0..r₁`) and which column
+//! of `Q₂` its bottom half (rows `r₁..r₁+r₂`). A coordinate starts with
+//! exactly one half. A deflation rotation between a `Q₁` and a `Q₂`
+//! coordinate makes both columns *dense*: the deflated one is written
+//! straight into the output, the surviving one keeps a top half in `Q₁`
+//! and a bottom half in `Q₂`, both rotated in place. The active columns
+//! then fall into LAPACK `laed2`'s three types — top-only, dense,
+//! bottom-only — and the rows of the secular eigenvector matrix `U` are
+//! ordered that way. Gathering the matching `Q₁` and `Q₂` columns to the
+//! front of each block (in place) turns `diag(Q₁, Q₂)·U` into two GEMMs
+//! with no structural zeros:
 //!
-//! - rows `0..m`: `Q₁[:, top-only ∪ dense] · U[top-only ∪ dense, :]`
-//! - rows `m..n`: `Q₂[:, dense ∪ bottom-only] · U[dense ∪ bottom-only, :]`
+//! - top rows: `Q₁[:, top-only ∪ dense] · U[top-only ∪ dense, :]`
+//! - bottom rows: `Q₂[:, dense ∪ bottom-only] · U[dense ∪ bottom-only, :]`
 //!
-//! Both write straight into the one n×n output; an in-place column
-//! permutation then sorts it by eigenvalue. [`rank1_update`] is the same
-//! merge with its `q` as the only block.
+//! Both write straight into the one output; an in-place column permutation
+//! then sorts it by eigenvalue. [`rank1_update`] is the same merge with its
+//! `q` as the only block.
 //!
 //! # Buffer lifetimes and workspace
 //!
-//! Every n²-sized buffer is a [`Mat`], so the [`tcevd_matrix::mem`]
-//! watermark sees all of it. A merge of size n with `k` active roots holds:
+//! Every eigenvector buffer (the output, `Q₁`, `Q₂`, `U`) is a [`Mat`], so
+//! the [`tcevd_matrix::mem`] watermark sees all of it. With [`DcRows::All`]
+//! a merge of size n with `k` active roots holds:
 //!
 //! - the output, n×n, alive from the start of the merge to its return;
 //! - `Q₁` and `Q₂`, m² + (n−m)², dropped after the two GEMMs;
@@ -49,6 +67,15 @@
 //! elements (≈ 2.5·n²) above the caller's baseline. Deeper merges stay
 //! below that even when `rayon::join` runs both halves at once: two merges
 //! of size n/2 hold at most 2 · 2.5·(n/2)² = 1.25·n².
+//!
+//! With [`DcRows::Ends`] nothing is quadratic. A merge of size n holds:
+//!
+//! - the output, 4×n, and then its 2×n cut;
+//! - `Q₁` and `Q₂`, 2×m and 2×(n−m);
+//! - `U` one panel of `ENDS_U_PANEL` (64) columns at a time, k×64 at most.
+//!
+//! That is at most `(6 + 64)·n` elements; the halves below the top merge
+//! hold at most that in total, and a leaf's QL `Z` is at most 24×24.
 
 use crate::ql::{tridiag_eig_ql, EigError};
 use crate::tridiag::SymTridiag;
@@ -60,6 +87,26 @@ use tcevd_trace::{span, TraceSink};
 
 /// Below this size the recursion bottoms out into QL.
 const DC_BASE: usize = 24;
+
+/// Partial sums of the secular evaluation. Fixed, never taken from the
+/// kernel tier, so the sums are deterministic and tier-independent.
+const SECULAR_LANES: usize = 8;
+
+/// Columns of `U` a [`DcRows::Ends`] merge forms per panel, so it never
+/// holds a k×k matrix. The GEMMs are column-local, so the bits do not
+/// depend on it.
+const ENDS_U_PANEL: usize = 64;
+
+/// Which rows of each subproblem's eigenvector matrix the recursion keeps
+/// (see the module docs).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum DcRows {
+    /// Every row: the full eigenvector matrix `Z`.
+    All,
+    /// Only `Z`'s first and last rows, the two a parent merge reads. The
+    /// eigenvalues are bit-identical to [`DcRows::All`]'s.
+    Ends,
+}
 
 /// Full eigendecomposition `T = Z·Λ·Zᵀ` by divide & conquer: eigenvalues
 /// ascending with matching eigenvector columns.
@@ -79,20 +126,35 @@ pub fn tridiag_eig_dc_with<T: Scalar>(
     t: &SymTridiag<T>,
     sink: &TraceSink,
 ) -> Result<(Vec<T>, Mat<T>), EigError> {
+    tridiag_dc_with(t, DcRows::All, sink)
+}
+
+/// The D&C recursion keeping `rows` of each subproblem's eigenvector
+/// matrix: returns the ascending eigenvalues with the full n×n `Z` for
+/// [`DcRows::All`], or the 2×n matrix of `Z`'s rows `{0, n−1}` for
+/// [`DcRows::Ends`]. Emits what [`tridiag_eig_dc_with`] emits; the flop
+/// counter counts the rows actually computed.
+pub fn tridiag_dc_with<T: Scalar>(
+    t: &SymTridiag<T>,
+    rows: DcRows,
+    sink: &TraceSink,
+) -> Result<(Vec<T>, Mat<T>), EigError> {
     let n = t.n();
     let _span = span!(sink, "tridiag_dc", n);
-    dc_rec(&t.d, &t.e, 0, sink)
+    dc_rec(&t.d, &t.e, rows, 0, sink)
 }
 
 fn dc_rec<T: Scalar>(
     d: &[T],
     e: &[T],
+    rows: DcRows,
     depth: u64,
     sink: &TraceSink,
 ) -> Result<(Vec<T>, Mat<T>), EigError> {
     let n = d.len();
     if n <= DC_BASE {
-        return tridiag_eig_ql(&SymTridiag::new(d.to_vec(), e.to_vec()));
+        let (vals, z) = tridiag_eig_ql(&SymTridiag::new(d.to_vec(), e.to_vec()))?;
+        return Ok((vals, keep_rows(z, rows)));
     }
     let m = n / 2;
     let rho = e[m - 1];
@@ -104,8 +166,8 @@ fn dc_rec<T: Scalar>(
     d2[0] -= rho;
 
     let (r1, r2) = rayon::join(
-        || dc_rec(&d1, &e[..m - 1], depth + 1, sink),
-        || dc_rec(&d2, &e[m..], depth + 1, sink),
+        || dc_rec(&d1, &e[..m - 1], rows, depth + 1, sink),
+        || dc_rec(&d2, &e[m..], rows, depth + 1, sink),
     );
     let (mut dvals, q1) = r1?;
     let (l2, q2) = r2?;
@@ -116,18 +178,40 @@ fn dc_rec<T: Scalar>(
     // D = diag(Λ₁, Λ₂); z = diag(Q₁, Q₂)ᵀ·u is the last row of Q₁ followed
     // by the first row of Q₂.
     dvals.extend_from_slice(&l2);
+    let last = q1.rows() - 1;
     let z = (0..m)
-        .map(|j| q1[(m - 1, j)])
+        .map(|j| q1[(last, j)])
         .chain((0..n - m).map(|j| q2[(0, j)]))
         .collect();
-    Ok(merge(dvals, z, rho, q1, q2, sink))
+    let (vals, out) = merge(dvals, z, rho, q1, q2, rows, sink);
+    Ok((vals, keep_rows(out, rows)))
+}
+
+/// `z` itself for [`DcRows::All`]; its first and last rows for
+/// [`DcRows::Ends`] (the same row twice when `z` has one).
+fn keep_rows<T: Scalar>(z: Mat<T>, rows: DcRows) -> Mat<T> {
+    match rows {
+        DcRows::All => z,
+        DcRows::Ends => {
+            let last = z.rows().saturating_sub(1);
+            Mat::from_fn(2, z.cols(), |r, j| z[(r * last, j)])
+        }
+    }
 }
 
 /// Eigendecomposition of `D + ρ·z·zᵀ`, composed with the accumulated `q`
 /// (whose columns correspond to the coordinates of `D`). Returns ascending
 /// eigenvalues and `q·U`.
 pub fn rank1_update<T: Scalar>(dvals: Vec<T>, z: Vec<T>, rho: T, q: Mat<T>) -> (Vec<T>, Mat<T>) {
-    merge(dvals, z, rho, q, Mat::zeros(0, 0), &TraceSink::disabled())
+    merge(
+        dvals,
+        z,
+        rho,
+        q,
+        Mat::zeros(0, 0),
+        DcRows::All,
+        &TraceSink::disabled(),
+    )
 }
 
 /// Where one basis column of `diag(Q₁, Q₂)` lives: its top half in column
@@ -142,14 +226,17 @@ struct Halves {
 /// The D&C merge: eigenvalues (ascending) and eigenvectors of `D + ρ·z·zᵀ`
 /// composed with the basis `diag(q1, q2)`, whose `q1.cols() + q2.cols()`
 /// columns are the coordinates of `D`. The eigenvector matrix has
-/// `q1.rows() + q2.rows()` rows. See the module docs for the column types
-/// and the buffers alive at each step.
+/// `q1.rows() + q2.rows()` rows. `rows` only sets how many columns of `U`
+/// are formed at a time: all of them for [`DcRows::All`], [`ENDS_U_PANEL`]
+/// for [`DcRows::Ends`]. See the module docs for the column types and the
+/// buffers alive at each step.
 fn merge<T: Scalar>(
     dvals: Vec<T>,
     z: Vec<T>,
     rho: T,
     mut q1: Mat<T>,
     mut q2: Mat<T>,
+    rows: DcRows,
     sink: &TraceSink,
 ) -> (Vec<T>, Mat<T>) {
     let n = dvals.len();
@@ -201,7 +288,7 @@ fn merge<T: Scalar>(
         })
         .collect();
 
-    // The one n×n buffer. Deflated columns fill it from the right as they
+    // The one output buffer. Deflated columns fill it from the right as they
     // are found; the GEMMs write the active ones from the left. `vals`
     // holds each column's eigenvalue.
     let mut out = Mat::<T>::zeros(r1 + r2, n);
@@ -307,50 +394,58 @@ fn merge<T: Scalar>(
         row[j] = r;
     }
 
-    // Eigenvectors in active-coordinate space, rows permuted by `row`.
-    let mut u = Mat::<T>::zeros(kk, kk);
-    for k in 0..kk {
-        let col = u.col_mut(k);
-        let mut norm2 = T::ZERO;
-        for i in 0..kk {
-            let v = zt[i] / lam_minus_d(k, i);
-            col[row[i]] = v;
-            norm2 += v * v;
-        }
-        let inv = T::ONE / norm2.sqrt();
-        for v in col.iter_mut() {
-            *v *= inv;
-        }
-    }
-
-    // Gather each block's active halves to its front in U's row order,
-    // then compose: out[:, 0..k] = diag(Q₁, Q₂)·U as two GEMMs.
+    // Gather each block's active halves to its front in U's row order.
     let tops: Vec<usize> = by_type.iter().filter_map(|&j| halves[act[j]].top).collect();
     let bots: Vec<usize> = by_type.iter().filter_map(|&j| halves[act[j]].bot).collect();
     let (k_up, k_dn) = (tops.len(), bots.len());
     gather_cols(&mut q1, &tops);
     gather_cols(&mut q2, &bots);
-    if r1 > 0 && k_up > 0 {
-        gemm(
-            T::ONE,
-            q1.view(0, 0, r1, k_up),
-            Op::NoTrans,
-            u.view(0, 0, k_up, kk),
-            Op::NoTrans,
-            T::ZERO,
-            out.view_mut(0, 0, r1, kk),
-        );
-    }
-    if r2 > 0 && k_dn > 0 {
-        gemm(
-            T::ONE,
-            q2.view(0, 0, r2, k_dn),
-            Op::NoTrans,
-            u.view(kk - k_dn, 0, k_dn, kk),
-            Op::NoTrans,
-            T::ZERO,
-            out.view_mut(r1, 0, r2, kk),
-        );
+
+    // Compose out[:, 0..k] = diag(Q₁, Q₂)·U as two GEMMs per panel of U's
+    // columns: eigenvectors in active-coordinate space, rows permuted by
+    // `row`.
+    let panel = match rows {
+        DcRows::All => kk,
+        DcRows::Ends => ENDS_U_PANEL.min(kk),
+    };
+    let mut u = Mat::<T>::zeros(kk, panel);
+    for j0 in (0..kk).step_by(panel.max(1)) {
+        let pw = panel.min(kk - j0);
+        for c in 0..pw {
+            let col = u.col_mut(c);
+            let mut norm2 = T::ZERO;
+            for i in 0..kk {
+                let v = zt[i] / lam_minus_d(j0 + c, i);
+                col[row[i]] = v;
+                norm2 += v * v;
+            }
+            let inv = T::ONE / norm2.sqrt();
+            for v in col.iter_mut() {
+                *v *= inv;
+            }
+        }
+        if r1 > 0 && k_up > 0 {
+            gemm(
+                T::ONE,
+                q1.view(0, 0, r1, k_up),
+                Op::NoTrans,
+                u.view(0, 0, k_up, pw),
+                Op::NoTrans,
+                T::ZERO,
+                out.view_mut(0, j0, r1, pw),
+            );
+        }
+        if r2 > 0 && k_dn > 0 {
+            gemm(
+                T::ONE,
+                q2.view(0, 0, r2, k_dn),
+                Op::NoTrans,
+                u.view(kk - k_dn, 0, k_dn, pw),
+                Op::NoTrans,
+                T::ZERO,
+                out.view_mut(r1, j0, r2, pw),
+            );
+        }
     }
     for (k, &(org, mu)) in roots.iter().enumerate() {
         vals[k] = da[org] + mu;
@@ -461,20 +556,46 @@ fn secular_root<T: Scalar>(d: &[T], z: &[T], rho: T, zsum2: T, k: usize) -> (usi
 
     // f as a function of λ = d[org] + mu. Returns (f, f', Σ|terms|): the
     // magnitude sum bounds the evaluation noise, giving a reliable stopping
-    // criterion even when huge pole terms cancel.
+    // criterion even when huge pole terms cancel. Each sum runs in
+    // SECULAR_LANES partial sums (independent chains the compiler turns into
+    // vector divides and adds), reduced left to right, then the remainder
+    // in order. Each sum gets its own pass over the lanes: folded into one
+    // loop, the compiler pairs f's lanes with the magnitude's and loses
+    // the full-width vector form.
+    const L: usize = SECULAR_LANES;
+    let body = kk - kk % L;
     let eval = |org: usize, mu: T| -> (T, T, T) {
         let inv_rho = T::ONE / rho;
-        let mut f = inv_rho;
-        let mut fp = T::ZERO;
-        let mut mag = inv_rho.abs();
-        for i in 0..kk {
-            let diff = (d[i] - d[org]) - mu; // d_i − λ
-            let w = z[i] / diff;
-            let term = z[i] * w;
-            f += term;
-            mag += term.abs();
-            fp += w * w;
+        let dorg = d[org];
+        let (mut fl, mut fpl, mut magl) = ([T::ZERO; L], [T::ZERO; L], [T::ZERO; L]);
+        for (dc, zc) in d[..body].chunks_exact(L).zip(z[..body].chunks_exact(L)) {
+            let (Ok(dc), Ok(zc)) = (<&[T; L]>::try_from(dc), <&[T; L]>::try_from(zc)) else {
+                continue; // unreachable: chunks_exact yields L-length slices
+            };
+            let (mut w, mut t) = ([T::ZERO; L], [T::ZERO; L]);
+            for l in 0..L {
+                w[l] = zc[l] / ((dc[l] - dorg) - mu); // z_i / (d_i − λ)
+                t[l] = zc[l] * w[l];
+            }
+            for l in 0..L {
+                fl[l] += t[l];
+            }
+            for l in 0..L {
+                fpl[l] += w[l] * w[l];
+            }
+            for l in 0..L {
+                magl[l] += t[l].abs();
+            }
         }
+        let tail = || (body..kk).map(|i| z[i] / ((d[i] - dorg) - mu));
+        let f = fl.iter().fold(inv_rho, |s, &v| s + v);
+        let f = tail().zip(&z[body..]).fold(f, |s, (w, &zi)| s + zi * w);
+        let fp = fpl.iter().fold(T::ZERO, |s, &v| s + v);
+        let fp = tail().fold(fp, |s, w| s + w * w);
+        let mag = magl.iter().fold(inv_rho.abs(), |s, &v| s + v);
+        let mag = tail()
+            .zip(&z[body..])
+            .fold(mag, |s, (w, &zi)| s + (zi * w).abs());
         (f * rho, fp * rho, mag * rho)
     };
 
@@ -868,6 +989,109 @@ mod tests {
         assert_eq!(sink.counter("dc_dense_cols"), 0);
         let (n, m) = (n as u64, (n / 2) as u64);
         assert_eq!(sink.counter("kernel_flops.dc"), 2 * (m * m + m * m) * n);
+    }
+
+    /// The five families the values-only setting is held to, at size `n`
+    /// (any n ≥ 0): random, the 1-D Laplacian, Wilkinson's W⁺, Wilkinson
+    /// blocks glued by 1e-7 couplings, and a cluster whose merges deflate
+    /// almost everything.
+    fn families(n: usize) -> Vec<(&'static str, SymTridiag<f64>)> {
+        let tri = |d: Vec<f64>, e: Vec<f64>| SymTridiag::new(d, e);
+        let off = |v: f64| vec![v; n.saturating_sub(1)];
+        let random = if n == 0 {
+            tri(vec![], vec![])
+        } else {
+            rand_tridiag(n, 40 + n as u64)
+        };
+        let half = (n as f64 - 1.0) / 2.0;
+        let glue = 21; // glued W⁺₂₁ blocks
+        let glued_e = (0..n.saturating_sub(1))
+            .map(|i| if i % glue == glue - 1 { 1e-7 } else { 1.0 })
+            .collect();
+        vec![
+            ("random", random),
+            ("laplacian", tri(vec![2.0; n], off(-1.0))),
+            (
+                "wilkinson",
+                tri((0..n).map(|i| (i as f64 - half).abs()).collect(), off(1.0)),
+            ),
+            (
+                "glued",
+                tri(
+                    (0..n)
+                        .map(|i| ((i % glue) as f64 - (glue as f64 - 1.0) / 2.0).abs())
+                        .collect(),
+                    glued_e,
+                ),
+            ),
+            (
+                "clustered",
+                tri(
+                    (0..n).map(|i| 1.0 + 1e-12 * (i % 3) as f64).collect(),
+                    off(1e-9),
+                ),
+            ),
+        ]
+    }
+
+    /// [`DcRows::Ends`] returns [`DcRows::All`]'s eigenvalues and rows
+    /// `{0, n−1}` of its `Z`, bit for bit.
+    fn check_ends_match_all<T: Scalar>(t64: &SymTridiag<f64>, tag: &str) {
+        let t = SymTridiag::new(
+            t64.d.iter().map(|&x| T::from_f64(x)).collect(),
+            t64.e.iter().map(|&x| T::from_f64(x)).collect(),
+        );
+        let sink = TraceSink::disabled();
+        let (vals, z) = tridiag_dc_with(&t, DcRows::All, &sink).unwrap();
+        let (ends_vals, ends) = tridiag_dc_with(&t, DcRows::Ends, &sink).unwrap();
+        let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&vals), bits(&ends_vals), "{tag}: eigenvalues");
+        let n = t.n();
+        assert_eq!((ends.rows(), ends.cols()), (2, n), "{tag}");
+        for (r, row) in [0, n.saturating_sub(1)].into_iter().enumerate() {
+            let want: Vec<T> = (0..n).map(|j| z[(row, j)]).collect();
+            let got: Vec<T> = (0..n).map(|j| ends[(r, j)]).collect();
+            assert_eq!(bits(&want), bits(&got), "{tag}: row {row}");
+        }
+    }
+
+    #[test]
+    fn ends_rows_are_bit_identical_to_the_full_solve() {
+        let sizes = [
+            0,
+            1,
+            2,
+            3,
+            DC_BASE,
+            DC_BASE + 1,
+            2 * DC_BASE,
+            2 * DC_BASE + 1,
+            1024,
+        ];
+        for n in sizes {
+            for (name, t) in families(n) {
+                check_ends_match_all::<f32>(&t, &format!("f32 {name} n={n}"));
+                check_ends_match_all::<f64>(&t, &format!("f64 {name} n={n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn ends_rows_count_only_the_rows_they_compute() {
+        // one undeflated merge of two 24-row halves: the Ends setting's
+        // GEMMs have r₁ = r₂ = 2 rows where the full solve's have m
+        let n = 2 * DC_BASE;
+        let t = rand_tridiag(n, 14);
+        let all = TraceSink::enabled();
+        let ends = TraceSink::enabled();
+        tridiag_dc_with(&t, DcRows::All, &all).unwrap();
+        tridiag_dc_with(&t, DcRows::Ends, &ends).unwrap();
+        for c in ["dc_merges", "dc_deflated", "dc_dense_cols"] {
+            assert_eq!(all.counter(c), ends.counter(c), "{c}");
+        }
+        let (n, m) = (n as u64, (n / 2) as u64);
+        assert_eq!(all.counter("kernel_flops.dc"), 2 * (m * m + m * m) * n);
+        assert_eq!(ends.counter("kernel_flops.dc"), 2 * (2 * m + 2 * m) * n);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod reference;
 pub mod tridiag;
 
 pub use bisect::{tridiag_eig_bisect, EigRange};
-pub use dc::{rank1_update, tridiag_eig_dc, tridiag_eig_dc_with};
+pub use dc::{rank1_update, tridiag_dc_with, tridiag_eig_dc, tridiag_eig_dc_with, DcRows};
 pub use error::{EvdError, EvdStage};
 pub use inverse_iter::{tridiag_eig_selected, tridiag_inverse_iteration};
 pub use jacobi::jacobi_eig;

@@ -45,7 +45,7 @@
 //! recovered run is observable after the fact.
 
 use crate::bisect::EigRange;
-use crate::dc::tridiag_eig_dc_with;
+use crate::dc::{tridiag_dc_with, DcRows};
 use crate::error::{EvdError, EvdStage};
 use crate::ql::{
     tridiag_eig_ql_budget_with, tridiag_eigenvalues_budget_with, EigError, DEFAULT_MAX_ITER,
@@ -434,8 +434,8 @@ fn check_cancelled(ctx: &GemmContext, stage: EvdStage) -> Result<(), EvdError> {
 /// Which eigenvector columns one pipeline run returns.
 #[derive(Copy, Clone)]
 enum Cols {
-    /// Eigenvalues only: the chase skips `Q₂` and nothing is
-    /// back-transformed.
+    /// Eigenvalues only: the chase skips `Q₂`, D&C keeps two rows per
+    /// subproblem ([`DcRows::Ends`]) and nothing is back-transformed.
     Values,
     /// Every eigenpair, from the [`TridiagSolver`] ladder.
     All,
@@ -720,10 +720,13 @@ fn solve_tridiag(
 ) -> Result<(Vec<f32>, Option<Mat<f32>>), EvdError> {
     // Rung 3: divide & conquer, falling to QL on a secular breakdown.
     if solver == TridiagSolver::DivideConquer {
+        // Without vectors the recursion keeps two rows per subproblem: the
+        // same eigenvalue bits, no n×n buffers.
+        let rows = if vectors { DcRows::All } else { DcRows::Ends };
         let r = if crate::fault::take_dc_failure() {
             Err(EigError::NoConvergence { index: 0 })
         } else {
-            tridiag_eig_dc_with(t, sink)
+            tridiag_dc_with(t, rows, sink)
         };
         match r {
             Ok((values, z)) => return Ok((values, vectors.then_some(z))),

@@ -8,7 +8,7 @@
 // kernels follow; iterator rewrites obscure the subscript arithmetic.
 #![allow(clippy::needless_range_loop)]
 
-use tcevd_matrix::blas1::{dot, nrm2, scal};
+use tcevd_matrix::blas1::{dot, dot_lanes, nrm2, scal};
 use tcevd_matrix::scalar::Scalar;
 use tcevd_matrix::MatMut;
 
@@ -33,6 +33,9 @@ pub fn larfg<T: Scalar>(alpha: T, x: &mut [T]) -> (T, T) {
     (beta, tau)
 }
 
+/// Partial sums of [`apply_reflector_left`]'s per-column dot.
+const REFLECTOR_LANES: usize = 8;
+
 /// Apply `H = I − tau·v·vᵀ` from the left to `c`: `C ← H·C`.
 /// `v` has length `c.rows()` with `v[0]` stored explicitly (pass 1 there).
 pub fn apply_reflector_left<T: Scalar>(tau: T, v: &[T], mut c: MatMut<'_, T>) {
@@ -40,13 +43,15 @@ pub fn apply_reflector_left<T: Scalar>(tau: T, v: &[T], mut c: MatMut<'_, T>) {
         return;
     }
     assert_eq!(v.len(), c.rows());
-    // The per-column dot stays on the serial scalar form (reductions are
-    // not bit-stable under lane splitting); the update is row-local and
-    // routes through the tier-dispatched (bit-identical) row kernel.
+    // The per-column dot runs in REFLECTOR_LANES partial sums: the lane
+    // count is a constant, never taken from the kernel tier, so the result
+    // is the same bits on every tier and thread count while the
+    // independent chains vectorize. The update is row-local and routes
+    // through the tier-dispatched (bit-identical) row kernel.
     let rk = tcevd_matrix::tile::row_kernels::<T>(c.rows());
     for j in 0..c.cols() {
         let col = c.col_mut(j);
-        let w = dot(v, col);
+        let w = dot_lanes::<T, REFLECTOR_LANES>(v, col);
         (rk.sub)(tau * w, v, col);
     }
 }

@@ -21,14 +21,17 @@ pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
 /// Dot product with `LANES` independent partial accumulators, reduced in a
 /// fixed order, remainder appended sequentially.
 ///
-/// This is the wide-tier reduction form: the lane partials break the
-/// serial dependence chain of [`dot`] so LLVM emits vector FMAs. The
-/// result is **deterministic** (pure function of the inputs — same bits on
-/// every call, every thread) but **not bit-identical to [`dot`]**: lane
-/// splitting regroups the additions of a single reduction. Callers that
-/// promise bit-exactness against the scalar oracle (GEMM, reflector row
-/// kernels) must not use this; tolerance-tested paths (`symv`, `gemv`
-/// Trans) may.
+/// The lane partials break the serial dependence chain of [`dot`] so LLVM
+/// emits vector arithmetic. The result is **deterministic** (a pure
+/// function of the inputs and `LANES`: the same bits on every call and
+/// thread) but **not bit-identical to [`dot`]**: lane splitting regroups
+/// the additions of a single reduction. A caller that always uses it, with
+/// a lane count of its own that is never chosen from the kernel tier,
+/// therefore gets the same bits on every tier: the reflector application
+/// (`tcevd_factor::householder::apply_reflector_left`) does. `symv` and
+/// `gemv` Trans choose between it and [`dot`] by tier, so they are
+/// tolerance-tested instead. Code that promises bit-exactness against
+/// [`dot`] itself must not use it.
 #[inline]
 pub fn dot_lanes<T: Scalar, const LANES: usize>(x: &[T], y: &[T]) -> T {
     assert_eq!(x.len(), y.len());

@@ -58,10 +58,13 @@ pub fn wy_memory(n: usize, b: usize, nb: usize) -> MemoryFootprint {
 
 /// Footprint of the detached band reduction. Same shape as the WY method
 /// (OA copy plus W/Y/AW aggregates), with one extra n×nb buffer for the
-/// V factor of the rank-nb syr2k trailing update.
+/// V factor of the rank-nb syr2k trailing update. At `nb = b` (the ZY
+/// setting) there is no OA copy: the one panel leaves the trailing block
+/// untouched, so its one reader reads the matrix itself.
 pub fn dbr_memory(n: usize, b: usize, nb: usize) -> MemoryFootprint {
     let base = wy_memory(n, b, nb);
     MemoryFootprint {
+        original_copy: if nb == b { 0 } else { base.original_copy },
         workspace: base.workspace + (n as u64) * (nb as u64) * F32,
         ..base
     }
@@ -120,6 +123,15 @@ mod tests {
         assert_eq!(dbr.original_copy, wy.original_copy);
         assert_eq!(dbr.wy_factors, wy.wy_factors);
         assert_eq!(dbr.total() - wy.total(), 32768 * 1024 * 4);
+    }
+
+    #[test]
+    fn dbr_at_one_panel_holds_no_original_copy() {
+        assert_eq!(dbr_memory(1024, 32, 32).original_copy, 0);
+        assert_eq!(
+            dbr_memory(1024, 32, 64).original_copy,
+            wy_memory(1024, 32, 64).original_copy
+        );
     }
 
     #[test]

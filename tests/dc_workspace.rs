@@ -1,12 +1,18 @@
 //! The divide-and-conquer merge's matrix workspace, held to the buffers the
-//! `tcevd_core::dc` module docs list as alive at its peak.
+//! `tcevd_core::dc` module docs list as alive at its peak, in both row
+//! settings.
 //!
 //! This is a test binary of its own because the `tcevd_matrix::mem`
 //! watermark is process-global: no other test may allocate matrices while
-//! this one measures.
+//! one measures, so each test holds `MEASURE` for its whole run.
 
-use tcevd::evd::{tridiag_eig_dc, SymTridiag};
+use std::sync::Mutex;
+
+use tcevd::evd::{tridiag_dc_with, tridiag_eig_dc, DcRows, SymTridiag};
 use tcevd::matrix::mem;
+use tcevd::trace::TraceSink;
+
+static MEASURE: Mutex<()> = Mutex::new(());
 
 /// The 1-D Laplacian `tridiag(−1, 2, −1)` with its diagonal perturbed by
 /// up to ±0.05: the disorder is too weak to localize the eigenvectors at
@@ -26,6 +32,7 @@ fn weakly_disordered_laplacian(n: usize, seed: u64) -> SymTridiag<f32> {
 
 #[test]
 fn dc_workspace_stays_within_the_top_merge_buffers() {
+    let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let elem = std::mem::size_of::<f32>() as u64;
     for n in [256usize, 1024] {
         let t = weakly_disordered_laplacian(n, n as u64);
@@ -51,5 +58,38 @@ fn dc_workspace_stays_within_the_top_merge_buffers() {
             "n = {n}: peak {used} B misses the output"
         );
         assert_eq!((vals.len(), z.rows(), z.cols()), (n, n, n));
+    }
+}
+
+#[test]
+fn dc_ends_rows_hold_no_quadratic_buffer() {
+    let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let elem = std::mem::size_of::<f32>() as u64;
+    // Columns of U an Ends merge forms at a time (`dc::ENDS_U_PANEL`).
+    let panel = 64;
+    for n in [256usize, 1024] {
+        let t = weakly_disordered_laplacian(n, n as u64);
+        let base = mem::reset_peak();
+        let (vals, ends) = tridiag_dc_with(&t, DcRows::Ends, &TraceSink::disabled())
+            .expect("the Laplacian converges");
+        let used = mem::peak_bytes() - base;
+
+        // Alive at the top merge's peak: the 4×n output, the halves' two
+        // kept rows Q₁ (2×m) and Q₂ (2×(n−m)), and one U panel (k×64 with
+        // k ≤ n active roots).
+        let n64 = n as u64;
+        let output = 4 * n64;
+        let bound = (output + 2 * n64 + panel * n64) * elem;
+        assert!(
+            used <= bound,
+            "n = {n}: Ends D&C peaked {used} B above its baseline, bound {bound} B"
+        );
+        // Little deflates here, so the panel is nearly n×64 and the
+        // measurement sees it along with the output.
+        assert!(
+            used >= (output + panel * n64 / 2) * elem,
+            "n = {n}: peak {used} B misses the output or the U panel"
+        );
+        assert_eq!((vals.len(), ends.rows(), ends.cols()), (n, 2, n));
     }
 }

@@ -208,6 +208,35 @@ fn dc_breakdown_recovers_via_ql_once() {
 }
 
 #[test]
+fn values_only_dc_breakdown_recovers_via_ql_once() {
+    // the values path runs D&C keeping two rows per subproblem; its
+    // breakdown takes the same rung to QL's eigenvalues-only solve
+    let mut o = opts(TridiagSolver::DivideConquer);
+    o.vectors = false;
+    let (r, sink, a) = run_plan(r#"[{"kind": "dc_fail"}]"#, &o);
+    let r = r.expect("QL fallback recovers");
+    assert_counters(&sink, &[("recovery.dc_to_ql", 1)]);
+    assert!(r.vectors.is_none());
+
+    // exactly QL's values ...
+    let mut ql = opts(TridiagSolver::Ql);
+    ql.vectors = false;
+    let (want, _, _) = run_plan("[]", &ql);
+    let want = want.expect("clean QL run").values;
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&r.values), bits(&want));
+    // ... within the accuracy check of the full solve they stand in for
+    let (full, _, _) = run_plan("[]", &opts(TridiagSolver::DivideConquer));
+    let full = full.expect("clean run succeeds");
+    assert_accurate(&a, &full);
+    let scale = tcevd::matrix::norms::frobenius(a.as_ref());
+    for (got, reference) in r.values.iter().zip(&full.values) {
+        let err = (got - reference).abs() / scale;
+        assert!(err < RESIDUAL_TOL, "eigenvalue error {err}");
+    }
+}
+
+#[test]
 fn ql_nonconvergence_retries_with_enlarged_budget_once() {
     let (r, sink, a) = run_plan(r#"[{"kind": "ql_fail"}]"#, &opts(TridiagSolver::Ql));
     let r = r.expect("budget retry recovers");

@@ -1,13 +1,14 @@
 //! The matrix workspace of the two stage-1 kernels on the vector path:
 //! `sbr_wy` held to the buffers its module docs list as alive at the panel
-//! loop's peak, and `form_wy` to the in-place merge the memory model
-//! predicts.
+//! loop's peak, the one-panel (ZY) setting of `sbr_blocked` to no copy of
+//! the trailing block, and `form_wy` to the in-place merge the memory
+//! model predicts.
 //!
 //! This is a test binary of its own because the `tcevd_matrix::mem`
 //! watermark is process-global: no other test may allocate matrices while
 //! this one measures.
 
-use tcevd::band::{blocked_trace_on, form_wy, sbr_wy, BlockEnd, PanelKind, WyOptions};
+use tcevd::band::{blocked_trace_on, form_wy, sbr_blocked, sbr_wy, BlockEnd, PanelKind, WyOptions};
 use tcevd::matrix::{mem, Mat};
 use tcevd::perfmodel::formw_memory;
 use tcevd::tensorcore::{Engine, GemmContext};
@@ -46,6 +47,40 @@ fn sbr_and_formw_stay_within_their_listed_buffers() {
         assert!(
             used >= held * elem,
             "n = {n}: sbr_wy peak {used} B misses a listed buffer"
+        );
+
+        // ZY, the syr2k end at nb = b, copies no OA: `wy_aw_append` reads
+        // it from `a` itself. Each level holds, besides the input copy and
+        // the (W, Y) of the levels before it, only mp×b blocks (the
+        // aggregates W, Y and AW, the panel's factors with their embedded
+        // and mirrored copies, its own recorded (W, Y) and the block end's
+        // V: at most twelve) and b×b products. The bound is the largest
+        // such sum over the levels; at n = 1024 it is below what a single
+        // copy of the first level's OA (mp×mp) would add to that level.
+        let mut kept = 0;
+        let mut zy_held = 0;
+        let mut off = 0;
+        while off + b < n {
+            let mp_l = (n - off - b) as u64;
+            kept += 2 * mp_l * b64;
+            zy_held = zy_held.max(n64 * n64 + kept + 12 * mp_l * b64);
+            off += b;
+        }
+        if n == 1024 {
+            assert!(zy_held < n64 * n64 + mp * mp + 3 * mp * b64);
+        }
+        let zy = WyOptions { block: b, ..opts };
+        let base = mem::reset_peak();
+        sbr_blocked(&a, &zy, BlockEnd::Syr2k, &ctx).expect("finite square input");
+        let used = mem::peak_bytes() - base;
+        assert!(
+            used <= zy_held * elem,
+            "n = {n}: ZY peaked {used} B above its baseline, bound {} B",
+            zy_held * elem
+        );
+        assert!(
+            used >= (n64 * n64 + kept) * elem,
+            "n = {n}: ZY peak misses the input copy or the recorded levels"
         );
 
         let widths: Vec<usize> = r.levels.iter().map(|l| l.w.cols()).collect();
