@@ -176,10 +176,10 @@ fn apply_pending_to_q<T: Scalar>(q: &mut Mat<T>, pending: &[PendingReflector<T>]
         }
         rem = rest;
     }
-    // Kernel-tier selection happens once, on the calling thread, before
-    // the fan-out (same discipline as blas3::gemm_with): both tiers are
+    // Row-kernel selection happens once, on the calling thread, before
+    // the fan-out (same discipline as blas3::gemm_with): both forms are
     // bit-identical for these row-local loops, but selection must stay a
-    // pure function of shape + tuning table, never of which worker runs.
+    // pure function of shape, never of which worker runs.
     let rk = tcevd_matrix::tile::row_kernels::<T>(Q_ROWS_PER_TASK.min(n));
     rayon::for_each_chunk(tasks, &|(row0, mut cols): (usize, Vec<&mut [T]>)| {
         let rb = cols.first().map_or(0, |c| c.len());

@@ -9,7 +9,6 @@
 //! reproduce table4 [--n 512] [--seed 42]
 //! reproduce gemm [--n 1024] [--out BENCH_pr5.json]     # packed-vs-reference GEMM
 //! reproduce dbr [--n 1024] [--out BENCH_pr10.json]     # DBR (nb, b) crossover sweep
-//! reproduce tune [--n 512] [--reps 3] [--out crates/matrix/tuning/default.tune]
 //! reproduce profile [--n 1024] [--out BENCH_profile.json] # perf attribution
 //! reproduce --trace=out.json [--n 512] [--seed 42]   # traced real run
 //! reproduce --faults=plan.json [--n 512] [--seed 42] # fault-injected run
@@ -182,25 +181,6 @@ fn main() {
             }
             print!("{json}");
         }
-        "tune" => {
-            // BLIS-style tile autotune: times the candidate grid and emits
-            // the tuning-table text that dispatch consults (committed as
-            // crates/matrix/tuning/default.tune).
-            let n = parse_flag(&args, "--n", 512) as usize;
-            let reps = parse_flag(&args, "--reps", 3) as usize;
-            eprintln!(
-                "[tile autotune at n = {n}, {reps} reps/candidate; use --n/--reps to change]"
-            );
-            let table = bench::tune_bench(n, seed, reps);
-            if let Some(path) = parse_path_flag(&args, "out", "crates/matrix/tuning/default.tune") {
-                if let Err(e) = std::fs::write(&path, &table) {
-                    eprintln!("error: writing {path}: {e}");
-                    std::process::exit(1);
-                }
-                eprintln!("wrote {path}");
-            }
-            print!("{table}");
-        }
         "profile" => {
             // Performance-attribution run at the PR-6 acceptance size.
             let n = parse_flag(&args, "--n", 1024) as usize;
@@ -217,7 +197,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("known: all perf table1 table2 table3 table4 gemm dbr tune profile fig5 fig6 fig7 fig8 fig9 fig10 fig11 formw future memory motivation --trace=PATH --faults=PATH");
+            eprintln!("known: all perf table1 table2 table3 table4 gemm dbr profile fig5 fig6 fig7 fig8 fig9 fig10 fig11 formw future memory motivation --trace=PATH --faults=PATH");
             std::process::exit(2);
         }
     }

@@ -501,7 +501,7 @@ pub fn trace_run(n: usize, seed: u64) -> TraceRun {
 /// single-threaded, FP32 engine — for the WY baseline at `nb = b` and for
 /// both WY and DBR across `nb ∈ {b, 2b, 4b, 8b}`. The follow-up paper's
 /// prediction is the `dbr_beats_wy_at_large_nb` gate: once `nb ≫ b` makes
-/// the one-per-block trailing syr2k big enough for the wide kernel tier,
+/// the one-per-block trailing syr2k big enough for the packed GEMM's large tile,
 /// DBR's wall clock drops below the `nb = b` baseline, whose trailing
 /// updates are pinned to skinny rank-`b` GEMMs. Two result-quality gates
 /// ride along: DBR's band is bit-identical on a 1-thread vs 4-thread pool,
@@ -628,8 +628,7 @@ pub fn dbr_bench(n: usize, seed: u64) -> String {
 /// (square `n×n×n`, rank-k `n×n×128`, tall-skinny `n×128 · 128×n` panels),
 /// f32, forced single-threaded so the kernel — not the column-chunk
 /// fan-out — is what is measured. Each shape also cross-checks the two
-/// kernels' outputs. This backs `reproduce gemm`; CI writes the output to
-/// `BENCH_pr5.json`.
+/// kernels' outputs. This backs `reproduce gemm`.
 pub fn gemm_bench(n: usize, seed: u64) -> String {
     use tcevd_matrix::blas3;
 
@@ -655,23 +654,12 @@ pub fn gemm_bench(n: usize, seed: u64) -> String {
         ("tall_skinny", n, n, k_panel),
     ];
 
-    use tcevd_matrix::tile::{with_tile_override, KernelTier, TileOverride};
-
-    let force = |tier: KernelTier| TileOverride {
-        tier: Some(tier),
-        shape: None,
-    };
-
     rayon::configure(1);
     let mut entries = Vec::new();
     let mut square_packed_faster = false;
-    let mut wide_beats_or_ties = true;
-    let mut tiers_bit_exact = true;
     for (name, m, k, nn) in shapes {
         let a = fill(m, k);
         let b = fill(k, nn);
-        // default dispatch: the tuned (normally wide) tier — this is what
-        // production callers get, so it keeps the `seconds_packed` name
         let mut c_packed = Mat::<f32>::zeros(m, nn);
         let t0 = std::time::Instant::now();
         gemm(
@@ -684,22 +672,6 @@ pub fn gemm_bench(n: usize, seed: u64) -> String {
             c_packed.as_mut(),
         );
         let t_packed = t0.elapsed().as_secs_f64();
-
-        // the PR-5 scalar oracle, forced through the same packed framework
-        let mut c_scalar = Mat::<f32>::zeros(m, nn);
-        let t0 = std::time::Instant::now();
-        with_tile_override(force(KernelTier::Scalar), || {
-            gemm(
-                1.0,
-                a.as_ref(),
-                Op::NoTrans,
-                b.as_ref(),
-                Op::NoTrans,
-                0.0,
-                c_scalar.as_mut(),
-            )
-        });
-        let t_scalar = t0.elapsed().as_secs_f64();
 
         let mut c_ref = Mat::<f32>::zeros(m, nn);
         let t0 = std::time::Instant::now();
@@ -715,26 +687,16 @@ pub fn gemm_bench(n: usize, seed: u64) -> String {
         let t_reference = t0.elapsed().as_secs_f64();
 
         let diff = c_packed.max_abs_diff(&c_ref);
-        // cross-tier contract: identical BITS, not just small difference
-        let tier_diff = c_packed.max_abs_diff(&c_scalar);
-        let bit_exact = tier_diff == 0.0;
-        tiers_bit_exact &= bit_exact;
         let speedup = t_reference / t_packed.max(1e-12);
-        let wide_over_scalar = t_scalar / t_packed.max(1e-12);
         if name == "square" {
             square_packed_faster = t_packed < t_reference;
         }
-        // 5% grace: on vector hardware wide wins clearly; on scalar-only
-        // CI machines the tiers time within noise of each other
-        wide_beats_or_ties &= t_packed <= t_scalar * 1.05;
         let mut e = String::new();
         let _ = write!(
             e,
             "    {{\"shape\": \"{name}\", \"m\": {m}, \"k\": {k}, \"n\": {nn}, \
-             \"seconds_packed\": {t_packed:.6}, \"seconds_scalar_tier\": {t_scalar:.6}, \
-             \"seconds_reference\": {t_reference:.6}, \
-             \"speedup_packed\": {speedup:.3}, \"wide_over_scalar\": {wide_over_scalar:.3}, \
-             \"tier_bit_exact\": {bit_exact}, \"max_abs_diff\": {diff:.3e}}}"
+             \"seconds_packed\": {t_packed:.6}, \"seconds_reference\": {t_reference:.6}, \
+             \"speedup_packed\": {speedup:.3}, \"max_abs_diff\": {diff:.3e}}}"
         );
         entries.push(e);
     }
@@ -750,154 +712,8 @@ pub fn gemm_bench(n: usize, seed: u64) -> String {
     let _ = writeln!(out, "  \"shapes\": [");
     let _ = writeln!(out, "{}", entries.join(",\n"));
     let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"packed_faster\": {square_packed_faster},");
-    let _ = writeln!(
-        out,
-        "  \"wide_beats_or_ties_scalar\": {wide_beats_or_ties},"
-    );
-    let _ = writeln!(out, "  \"tier_bit_exact\": {tiers_bit_exact}");
+    let _ = writeln!(out, "  \"packed_faster\": {square_packed_faster}");
     let _ = writeln!(out, "}}");
-    out
-}
-
-/// BLIS-style tile autotuner backing `reproduce tune`: for each scalar
-/// type and GEMM shape class it times the scalar-tier default and every
-/// wide-tier candidate in [`tcevd_matrix::tile::WIDE_CANDIDATES`]
-/// (min-of-`reps`, single-threaded) and emits the winning `(tier, mr, nr,
-/// mc)` per class in the tuning-table text format that
-/// `crates/matrix/tuning/default.tune` is committed in. Dispatch then
-/// reads the committed table deterministically at first use — the tuner
-/// never runs in production paths.
-pub fn tune_bench(n: usize, seed: u64, reps: usize) -> String {
-    use tcevd_matrix::scalar::Scalar;
-    use tcevd_matrix::tile::{
-        with_tile_override, GemmClass, KernelTier, TileOverride, WIDE_CANDIDATES,
-    };
-
-    fn fill_t<T: Scalar>(rows: usize, cols: usize, state: &mut u64) -> Mat<T> {
-        let data = (0..rows * cols)
-            .map(|_| {
-                *state ^= *state << 13;
-                *state ^= *state >> 7;
-                *state ^= *state << 17;
-                T::from_f64((*state >> 40) as f64 / (1u64 << 24) as f64 - 0.5)
-            })
-            .collect();
-        Mat::from_col_major(rows, cols, data)
-    }
-
-    fn time_gemm<T: Scalar>(a: &Mat<T>, b: &Mat<T>, c: &mut Mat<T>, reps: usize) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let t0 = std::time::Instant::now();
-            gemm(
-                T::ONE,
-                a.as_ref(),
-                Op::NoTrans,
-                b.as_ref(),
-                Op::NoTrans,
-                T::ZERO,
-                c.as_mut(),
-            );
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    }
-
-    fn tune_type<T: Scalar>(n: usize, seed: u64, reps: usize, out: &mut String) {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let k_panel = 128.min(n);
-        let classes: [(GemmClass, usize, usize, usize); 3] = [
-            (GemmClass::Square, n, n, n),
-            (GemmClass::Outer, n, n, k_panel),
-            (GemmClass::Tall, n, k_panel, n),
-        ];
-        for (class, m, nn, k) in classes {
-            let a = fill_t::<T>(m, k, &mut state);
-            let b = fill_t::<T>(k, nn, &mut state);
-            let mut c = Mat::<T>::zeros(m, nn);
-            // scalar-tier baseline at the type's built-in shapes
-            let t_scalar = with_tile_override(
-                TileOverride {
-                    tier: Some(KernelTier::Scalar),
-                    shape: None,
-                },
-                || time_gemm(&a, &b, &mut c, reps),
-            );
-            let mut best = (KernelTier::Scalar, T::GEMM_MR, T::GEMM_NR, T::GEMM_MC);
-            let mut best_t = t_scalar;
-            for &(mr, nr, mc) in WIDE_CANDIDATES {
-                let t = with_tile_override(
-                    TileOverride {
-                        tier: Some(KernelTier::Wide),
-                        shape: Some((mr, nr, mc)),
-                    },
-                    || time_gemm(&a, &b, &mut c, reps),
-                );
-                if t < best_t {
-                    best_t = t;
-                    best = (KernelTier::Wide, mr, nr, mc);
-                }
-            }
-            let (tier, mr, nr, mc) = best;
-            let tier_s = match tier {
-                KernelTier::Scalar => "scalar",
-                KernelTier::Wide => "wide",
-            };
-            let gf = 2.0 * m as f64 * nn as f64 * k as f64 / best_t.max(1e-12) / 1e9;
-            let _ = writeln!(
-                out,
-                "{} {:<6} {} {} {} {}   # {:.1} GF/s, scalar tier {:.1} GF/s",
-                T::NAME,
-                class.name(),
-                tier_s,
-                mr,
-                nr,
-                mc,
-                gf,
-                2.0 * m as f64 * nn as f64 * k as f64 / t_scalar.max(1e-12) / 1e9,
-            );
-        }
-    }
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# tcevd GEMM tuning table — emitted by `reproduce tune --n {n} --seed {seed}`,"
-    );
-    let _ = writeln!(
-        out,
-        "# consumed by crates/matrix/src/tile.rs at first dispatch."
-    );
-    let _ = writeln!(out, "#");
-    let _ = writeln!(
-        out,
-        "# Format: scalar class tier mr nr mc      (whitespace separated)"
-    );
-    let _ = writeln!(out, "#   scalar ∈ {{f32, f64}}");
-    let _ = writeln!(
-        out,
-        "#   class  ∈ {{square, outer, tall}}   (see tile::classify)"
-    );
-    let _ = writeln!(out, "#   tier   ∈ {{scalar, wide}}");
-    let _ = writeln!(
-        out,
-        "#   (mr, nr) must name an instantiated kernel (tile::kernel_for)"
-    );
-    let _ = writeln!(out, "#   mc % mr == 0 and NC (32) % nr == 0");
-    let _ = writeln!(out, "#");
-    let _ = writeln!(
-        out,
-        "# KC is deliberately NOT tunable: it is pinned per scalar type"
-    );
-    let _ = writeln!(
-        out,
-        "# (Scalar::GEMM_KC) so every tier produces bit-identical results."
-    );
-    rayon::configure(1);
-    tune_type::<f32>(n, seed, reps, &mut out);
-    tune_type::<f64>(n, seed, reps, &mut out);
-    rayon::configure(0);
     out
 }
 

@@ -13,7 +13,7 @@
 //! Roots are stored as `(origin, offset)` pairs so every difference
 //! `λ − d_i` is computed without cancellation. The secular function sums
 //! its terms in `SECULAR_LANES` (8) partial sums reduced in a fixed order, so
-//! every root is the same bits on every kernel tier and thread count.
+//! every root is the same bits at every thread count.
 //!
 //! # Rows kept
 //!
@@ -88,8 +88,8 @@ use tcevd_trace::{span, TraceSink};
 /// Below this size the recursion bottoms out into QL.
 const DC_BASE: usize = 24;
 
-/// Partial sums of the secular evaluation. Fixed, never taken from the
-/// kernel tier, so the sums are deterministic and tier-independent.
+/// Partial sums of the secular evaluation. A fixed count, so the sums are
+/// deterministic.
 const SECULAR_LANES: usize = 8;
 
 /// Columns of `U` a [`DcRows::Ends`] merge forms per panel, so it never

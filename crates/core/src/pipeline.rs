@@ -13,8 +13,8 @@
 //! [`sym_eig`], [`sym_eigenvalues`] and [`sym_eig_selected`] run one
 //! private driver that differs only in which eigenvector columns it
 //! returns: none, all `n`, or those of an [`EigRange`]. Every SBR variant
-//! serves every selection, since `Q₁` — FormW factors or ZY's dense `Q₁` —
-//! multiplies `n×k` columns as readily as `n×n`. Each stage runs under one
+//! serves every selection, since `Q₁` — applied as FormW's `(W, Y)`
+//! factors — multiplies `n×k` columns as readily as `n×n`. Each stage runs under one
 //! seam that opens its [`StageScope`] and then gates the boundary:
 //! sanitizer, finiteness, cancellation. Each buffer is dropped after its
 //! last reader: the dense band after the chase, `Q₂` and `Z` after the

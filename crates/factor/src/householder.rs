@@ -44,10 +44,10 @@ pub fn apply_reflector_left<T: Scalar>(tau: T, v: &[T], mut c: MatMut<'_, T>) {
     }
     assert_eq!(v.len(), c.rows());
     // The per-column dot runs in REFLECTOR_LANES partial sums: the lane
-    // count is a constant, never taken from the kernel tier, so the result
-    // is the same bits on every tier and thread count while the
-    // independent chains vectorize. The update is row-local and routes
-    // through the tier-dispatched (bit-identical) row kernel.
+    // count is a constant, so the result is the same bits at every vector
+    // length and thread count while the independent chains vectorize. The
+    // update is row-local and routes through the (bit-identical) row
+    // kernel.
     let rk = tcevd_matrix::tile::row_kernels::<T>(c.rows());
     for j in 0..c.cols() {
         let col = c.col_mut(j);
@@ -59,9 +59,9 @@ pub fn apply_reflector_left<T: Scalar>(tau: T, v: &[T], mut c: MatMut<'_, T>) {
 /// Apply `H = I − tau·v·vᵀ` from the right to `c`: `C ← C·H`.
 ///
 /// The column sweeps are row-local (`w[i]` only ever meets `col[i]`), so
-/// they route through the tier-dispatched row kernels
-/// ([`tcevd_matrix::tile::row_kernels`]) — the wide tier lane-blocks the
-/// loops for vector FMAs with **bit-identical** results, preserving this
+/// they route through the row kernels
+/// ([`tcevd_matrix::tile::row_kernels`]) — the lane form blocks the loops
+/// for vector FMAs with **bit-identical** results, preserving this
 /// function's role in the bulge-chase bitwise-equivalence tests.
 pub fn apply_reflector_right<T: Scalar>(tau: T, v: &[T], mut c: MatMut<'_, T>) {
     if tau == T::ZERO {

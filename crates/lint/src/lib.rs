@@ -46,16 +46,7 @@
 //!   (`state → cache → workers`), condvar waits only inside predicate
 //!   loops, and only the poison-recovering `lock()` helper.
 //!
-//! One rule checks a non-Rust artifact:
-//!
-//! - **R12** the committed GEMM tuning table
-//!   (`crates/matrix/tuning/default.tune`) parses and satisfies the
-//!   dispatch invariants of `tcevd_matrix::tile` — known scalar/class/
-//!   tier names, instantiated `(mr, nr)` kernel shapes, `mc % mr == 0`,
-//!   `NC % nr == 0`, no duplicate `(scalar, class)` entries — because the
-//!   runtime loader drops bad lines silently by design.
-//!
-//! And one checks the rules' own configuration:
+//! One rule checks the rules' own configuration:
 //!
 //! - **R13** every entry of a rule's path list (`R3_FILES`, `R9_FILES`,
 //!   …) matches a workspace file, so deleting or renaming a file cannot
@@ -157,12 +148,6 @@ pub fn parse_registry(src: &str) -> Registry {
 
 /// Path of the flop-cost registry source, relative to the workspace root.
 pub const COSTS_PATH: &str = "crates/prof/src/costs.rs";
-
-/// Path of the committed GEMM tuning table, relative to the workspace
-/// root. `crates/matrix/src/tile.rs` embeds this file with `include_str!`
-/// and parses it panic-free (silently dropping bad lines), so rule R12 is
-/// where a typo in the committed table becomes visible.
-pub const TUNE_PATH: &str = "crates/matrix/tuning/default.tune";
 
 /// Parse the `GEMM_COSTS` array from cost-registry source text.
 ///
@@ -394,8 +379,6 @@ pub fn lint_workspace_filtered(root: &Path, filters: &[String]) -> Vec<Diagnosti
         rules::r1_unused_entries(&reg, &used, &mut diags);
         let costs_src = std::fs::read_to_string(root.join(COSTS_PATH)).unwrap_or_default();
         rules::r6_cost_registry(&reg, &parse_costs(&costs_src), &mut diags);
-        let tune_src = std::fs::read_to_string(root.join(TUNE_PATH)).unwrap_or_default();
-        rules::r12_tuning_table(TUNE_PATH, &tune_src, &mut diags);
     } else {
         diags.retain(|d| filters.iter().any(|f| d.file.starts_with(f.as_str())));
     }

@@ -18,7 +18,6 @@
 //! | R9 | every loop transitively doing GEMM-scale work reaches a `CancelToken` check within one iteration |
 //! | R10 | determinism discipline: no sync primitives in parallel regions, no HashMap/HashSet iteration, counters from wall-clock/thread identity only in `time.`/`par.` |
 //! | R11 | serve lock discipline: canonical Mutex order, condvar waits in predicate loops, poison-recovering `lock()` helper only |
-//! | R12 | the committed GEMM tuning table parses and satisfies the `tile` dispatch invariants (known names, instantiated kernels, divisibility, no duplicates) |
 //! | R13 | every entry of a rule's path list (`R3_FILES`, `R9_FILES`, …) matches a workspace file |
 //! | W1 | every `tcevd-lint: allow(…)` waiver suppresses at least one finding |
 
@@ -1017,155 +1016,6 @@ pub fn r11_serve_locks(path: &str, u: &FileUnit, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `(mr, nr)` microkernel shapes instantiated per tier in
-/// `crates/matrix/src/tile.rs` (`kernel_for`). Mirrored here because the
-/// lint engine is dependency-free; `tile.rs`'s own tests
-/// (`wide_candidates_are_all_instantiated_and_valid`,
-/// `committed_table_is_valid_and_covers_both_scalars`) keep the real list
-/// honest, and a mismatch shows up as R12 firing on a table the matrix
-/// crate accepts (or vice versa).
-const R12_SCALAR_KERNELS: &[(u64, u64)] = &[(4, 4), (8, 4), (8, 8), (16, 4)];
-const R12_WIDE_KERNELS: &[(u64, u64)] = &[(8, 4), (8, 8), (16, 4), (16, 8), (32, 4), (32, 8)];
-/// The blas3 column-chunk width every `nr` must divide (`blas3::NC`).
-const R12_NC: u64 = 32;
-
-/// R12: the committed GEMM tuning table
-/// (`crates/matrix/tuning/default.tune`) parses and satisfies the
-/// dispatch invariants `tile::shape_valid` enforces at load time:
-/// `scalar ∈ {f32, f64}`, `class ∈ {square, outer, tall}`,
-/// `tier ∈ {scalar, wide}`, `(mr, nr)` names an instantiated kernel,
-/// `mc % mr == 0`, `NC % nr == 0`, and no `(scalar, class)` pair is
-/// listed twice (dispatch would silently keep the first). The runtime
-/// parser drops bad lines silently by design — panic-free loading — so
-/// the lint is where a typo in a committed table becomes visible.
-pub fn r12_tuning_table(path: &str, text: &str, out: &mut Vec<Diagnostic>) {
-    let mut entries = 0usize;
-    let mut seen: Vec<(String, String)> = Vec::new();
-    for (ln0, raw) in text.lines().enumerate() {
-        let line = ln0 + 1;
-        let body = raw.split('#').next().unwrap_or("").trim();
-        if body.is_empty() {
-            continue;
-        }
-        let f: Vec<&str> = body.split_whitespace().collect();
-        let [scalar, class, tier, mr, nr, mc] = f.as_slice() else {
-            diag(
-                out,
-                path,
-                line,
-                "R12",
-                format!(
-                    "malformed tuning entry ({} fields, want 6: scalar class \
-                     tier mr nr mc) — the runtime parser drops this line \
-                     silently",
-                    f.len()
-                ),
-            );
-            continue;
-        };
-        entries += 1;
-        if !["f32", "f64"].contains(scalar) {
-            diag(
-                out,
-                path,
-                line,
-                "R12",
-                format!("unknown scalar `{scalar}` (want f32 or f64)"),
-            );
-        }
-        if !["square", "outer", "tall"].contains(class) {
-            diag(
-                out,
-                path,
-                line,
-                "R12",
-                format!("unknown shape class `{class}` (want square, outer or tall)"),
-            );
-        }
-        let (Ok(mr), Ok(nr), Ok(mc)) = (mr.parse::<u64>(), nr.parse::<u64>(), mc.parse::<u64>())
-        else {
-            diag(
-                out,
-                path,
-                line,
-                "R12",
-                "non-numeric tile shape (mr nr mc must be integers)".to_string(),
-            );
-            continue;
-        };
-        let kernels = match *tier {
-            "scalar" => R12_SCALAR_KERNELS,
-            "wide" => R12_WIDE_KERNELS,
-            other => {
-                diag(
-                    out,
-                    path,
-                    line,
-                    "R12",
-                    format!("unknown tier `{other}` (want scalar or wide)"),
-                );
-                continue;
-            }
-        };
-        if !kernels.contains(&(mr, nr)) {
-            diag(
-                out,
-                path,
-                line,
-                "R12",
-                format!(
-                    "no {tier}-tier microkernel instantiated for (mr, nr) = \
-                     ({mr}, {nr}) — see `kernel_for` in crates/matrix/src/tile.rs"
-                ),
-            );
-        }
-        if mr == 0 || !mc.is_multiple_of(mr) {
-            diag(
-                out,
-                path,
-                line,
-                "R12",
-                format!("mc = {mc} is not a multiple of mr = {mr}"),
-            );
-        }
-        if nr == 0 || !R12_NC.is_multiple_of(nr) {
-            diag(
-                out,
-                path,
-                line,
-                "R12",
-                format!("nr = {nr} does not divide the blas3 column chunk NC = {R12_NC}"),
-            );
-        }
-        let key = (scalar.to_string(), class.to_string());
-        if seen.contains(&key) {
-            diag(
-                out,
-                path,
-                line,
-                "R12",
-                format!(
-                    "duplicate entry for ({scalar}, {class}) — dispatch keeps \
-                     the first and this line is dead"
-                ),
-            );
-        } else {
-            seen.push(key);
-        }
-    }
-    if entries == 0 {
-        diag(
-            out,
-            path,
-            1,
-            "R12",
-            "tuning table is missing or holds no entries — dispatch would \
-             run entirely on built-in defaults"
-                .to_string(),
-        );
-    }
-}
-
 /// R13: every entry of a rule's path list matches at least one workspace
 /// file — an entry ending in `/` by prefix, any other exactly, as the rules
 /// match them. An entry left behind by a deleted or renamed file scopes
@@ -1216,51 +1066,4 @@ fn entry_line(src: &str, name: &str, entry: &str) -> usize {
                 .map(|i| d + i + 1)
         })
         .unwrap_or(1)
-}
-
-#[cfg(test)]
-mod tune_tests {
-    use super::*;
-
-    fn run(text: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        r12_tuning_table("crates/matrix/tuning/default.tune", text, &mut out);
-        out.iter().map(|d| d.to_string()).collect()
-    }
-
-    #[test]
-    fn valid_table_is_clean() {
-        let text = "# comment\nf32 square wide 8 8 256 # 35 GF/s\nf64 tall scalar 8 4 128\n";
-        assert_eq!(run(text), Vec::<String>::new());
-    }
-
-    #[test]
-    fn each_invariant_violation_fires() {
-        // wrong field count
-        assert!(run("f32 square wide 8 8\n")[0].contains("malformed"));
-        // unknown scalar / class / tier
-        assert!(run("f16 square wide 8 8 256\n")[0].contains("unknown scalar"));
-        assert!(run("f32 round wide 8 8 256\n")[0].contains("unknown shape class"));
-        assert!(run("f32 square simd 8 8 256\n")[0].contains("unknown tier"));
-        // non-numeric shape
-        assert!(run("f32 square wide a 8 256\n")[0].contains("non-numeric"));
-        // uninstantiated kernel shape
-        assert!(run("f32 square wide 12 8 24\n")[0].contains("no wide-tier microkernel"));
-        // mc % mr and NC % nr
-        assert!(run("f32 square wide 8 8 100\n")[0].contains("not a multiple"));
-        assert!(run("f32 square scalar 4 4 64\nf32 outer wide 8 12 24\n")
-            .iter()
-            .any(|d| d.contains("does not divide")));
-        // duplicate (scalar, class)
-        assert!(run("f32 square wide 8 8 256\nf32 square scalar 4 4 64\n")
-            .iter()
-            .any(|d| d.contains("duplicate entry")));
-    }
-
-    #[test]
-    fn empty_table_is_flagged_once() {
-        let d = run("# only comments\n");
-        assert_eq!(d.len(), 1);
-        assert!(d[0].contains("no entries"));
-    }
 }

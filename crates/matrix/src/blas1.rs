@@ -26,11 +26,10 @@ pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
 /// function of the inputs and `LANES`: the same bits on every call and
 /// thread) but **not bit-identical to [`dot`]**: lane splitting regroups
 /// the additions of a single reduction. A caller that always uses it, with
-/// a lane count of its own that is never chosen from the kernel tier,
-/// therefore gets the same bits on every tier: the reflector application
-/// (`tcevd_factor::householder::apply_reflector_left`) does. `symv` and
-/// `gemv` Trans choose between it and [`dot`] by tier, so they are
-/// tolerance-tested instead. Code that promises bit-exactness against
+/// a lane count of its own, gets the same bits at every vector length: the
+/// reflector application (`tcevd_factor::householder::apply_reflector_left`)
+/// does. `symv` and `gemv` Trans choose between it and [`dot`] by vector
+/// length, so they are tolerance-tested instead. Code that promises bit-exactness against
 /// [`dot`] itself must not use it.
 #[inline]
 pub fn dot_lanes<T: Scalar, const LANES: usize>(x: &[T], y: &[T]) -> T {

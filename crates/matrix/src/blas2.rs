@@ -1,14 +1,14 @@
 //! Matrix–vector (BLAS-2) kernels over strided views.
 //!
-//! `gemv` (Trans) and `symv_lower` participate in the kernel-tier dispatch
-//! ([`crate::tile`]): above the small-problem threshold, the wide tier
-//! replaces serial dot-product reductions with the lane-partial form
-//! ([`crate::blas1::dot_lanes`]). The wide reductions are deterministic
-//! (pure functions of shape + inputs, thread-count independent) but not
-//! bit-identical to the scalar tier — reductions regroup under lane
-//! splitting — so only tolerance-tested callers route through them; the
-//! bit-exact reflector paths use [`crate::tile::row_kernels`] instead,
-//! whose per-element arithmetic is identical across tiers.
+//! `gemv` (Trans) and `symv_lower` replace their serial dot-product
+//! reductions with the lane-partial form ([`crate::blas1::dot_lanes`]) for
+//! vectors of at least `tile::SMALL_DIM` (48) elements. The lane reductions are
+//! deterministic (pure functions of shape + inputs, thread-count
+//! independent) but not bit-identical to the serial ones — reductions
+//! regroup under lane splitting — so only tolerance-tested callers route
+//! through them; the bit-exact reflector paths use
+//! [`crate::tile::row_kernels`] instead, whose per-element arithmetic is
+//! the same in both forms.
 
 // Index-based loops mirror the BLAS/LAPACK reference formulations these
 // kernels follow; iterator rewrites obscure the subscript arithmetic.
@@ -16,8 +16,9 @@
 
 use crate::blas1::{axpy, dot, dot_lanes};
 use crate::mat::{MatMut, MatRef};
+use crate::microkernel::LANES;
 use crate::scalar::Scalar;
-use crate::tile::{row_tier, KernelTier, ROW_LANES};
+use crate::tile::SMALL_DIM;
 
 /// Transposition flag for GEMM-family routines.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -45,10 +46,10 @@ pub fn gemv<T: Scalar>(alpha: T, a: MatRef<'_, T>, op: Op, x: &[T], beta: T, y: 
         Op::Trans => {
             assert_eq!(x.len(), m);
             assert_eq!(y.len(), n);
-            let wide = row_tier::<T>(m) == KernelTier::Wide;
+            let wide = m >= SMALL_DIM;
             for j in 0..n {
                 let d = if wide {
-                    dot_lanes::<T, ROW_LANES>(a.col(j), x)
+                    dot_lanes::<T, LANES>(a.col(j), x)
                 } else {
                     dot(a.col(j), x)
                 };
@@ -79,18 +80,17 @@ pub fn symv_lower<T: Scalar>(alpha: T, a: MatRef<'_, T>, x: &[T], beta: T, y: &m
             *v *= beta;
         }
     }
-    if row_tier::<T>(n) == KernelTier::Wide {
-        // Wide tier: the fused loop's serial `t` reduction blocks
-        // vectorization, so split it — a row-local axpy for the column
-        // contribution plus a lane-partial dot for the reduction. Both
-        // halves stream the same column once each; still O(n²/2) reads.
-        // Deterministic, tolerance-equal (not bit-equal) to the scalar
-        // form below.
+    if n >= SMALL_DIM {
+        // The fused loop's serial `t` reduction blocks vectorization, so
+        // split it — a row-local axpy for the column contribution plus a
+        // lane-partial dot for the reduction. Both halves stream the same
+        // column once each; still O(n²/2) reads. Deterministic,
+        // tolerance-equal (not bit-equal) to the serial form below.
         for j in 0..n {
             let col = a.col(j);
             y[j] += alpha * col[j] * x[j];
             axpy(alpha * x[j], &col[j + 1..], &mut y[j + 1..]);
-            y[j] += alpha * dot_lanes::<T, ROW_LANES>(&col[j + 1..], &x[j + 1..]);
+            y[j] += alpha * dot_lanes::<T, LANES>(&col[j + 1..], &x[j + 1..]);
         }
         return;
     }
@@ -205,9 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn symv_wide_path_matches_scalar_form() {
-        // n = 100 clears the wide threshold; compare the tier-dispatched
-        // symv against a forced-scalar run of the same problem.
+    fn symv_wide_path_matches_serial_form() {
+        // n = 100 clears SMALL_DIM; compare against the written-out serial
+        // symv of the same problem.
         let n = 100;
         let mut a = Mat::<f64>::zeros(n, n);
         for j in 0..n {
@@ -218,14 +218,17 @@ mod tests {
         let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
         let mut y = vec![0.5; n];
         symv_lower(1.25, a.as_ref(), &x, 2.0, &mut y);
-        let mut y_ref = vec![0.5; n];
-        crate::tile::with_tile_override(
-            crate::tile::TileOverride {
-                tier: Some(KernelTier::Scalar),
-                shape: None,
-            },
-            || symv_lower(1.25, a.as_ref(), &x, 2.0, &mut y_ref),
-        );
+        let mut y_ref = vec![0.5 * 2.0; n];
+        for j in 0..n {
+            let col = a.col(j);
+            y_ref[j] += 1.25 * col[j] * x[j];
+            let mut t = 0.0;
+            for i in j + 1..n {
+                y_ref[i] += 1.25 * col[i] * x[j];
+                t += col[i] * x[i];
+            }
+            y_ref[j] += 1.25 * t;
+        }
         for i in 0..n {
             let scale = y_ref[i].abs().max(1.0);
             assert!((y[i] - y_ref[i]).abs() <= 1e-12 * scale, "row {i}");
@@ -237,7 +240,7 @@ mod tests {
     }
 
     #[test]
-    fn gemv_trans_wide_path_matches_scalar_form() {
+    fn gemv_trans_wide_path_matches_serial_form() {
         let (m, n) = (96, 5);
         let mut a = Mat::<f64>::zeros(m, n);
         for j in 0..n {
@@ -248,16 +251,13 @@ mod tests {
         let x: Vec<f64> = (0..m).map(|i| ((i * 11) % 17) as f64 * 0.5 - 4.0).collect();
         let mut y = vec![1.0; n];
         gemv(0.75, a.as_ref(), Op::Trans, &x, -1.0, &mut y);
-        let mut y_ref = vec![1.0; n];
-        crate::tile::with_tile_override(
-            crate::tile::TileOverride {
-                tier: Some(KernelTier::Scalar),
-                shape: None,
-            },
-            || gemv(0.75, a.as_ref(), Op::Trans, &x, -1.0, &mut y_ref),
-        );
         for j in 0..n {
-            assert!((y[j] - y_ref[j]).abs() <= 1e-12 * y_ref[j].abs().max(1.0));
+            let mut d = 0.0;
+            for i in 0..m {
+                d += a[(i, j)] * x[i];
+            }
+            let want = 0.75 * d - 1.0;
+            assert!((y[j] - want).abs() <= 1e-12 * want.abs().max(1.0));
         }
     }
 

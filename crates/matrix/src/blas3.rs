@@ -30,10 +30,9 @@ use crate::mat::{Mat, MatMut, MatRef};
 use crate::pack;
 use crate::scalar::Scalar;
 
-/// Column chunk processed per task. `pub(crate)` so the tier dispatcher
-/// ([`crate::tile`]) can validate the `NC % NR == 0` strip-alignment
-/// invariant against the same constant the fan-out uses.
-pub(crate) const NC: usize = 32;
+/// Column chunk processed per task; a multiple of every tile's NR, so
+/// chunk boundaries align with NR-strips.
+const NC: usize = 32;
 /// Below this many flops a GEMM runs serially (rayon overhead dominates).
 const PAR_FLOP_THRESHOLD: usize = 1 << 19;
 
@@ -166,12 +165,12 @@ pub fn gemm_with<T: Scalar>(
         return;
     }
 
-    // Tier + tile selection happens HERE, once, on the calling thread —
-    // before the parallel fan-out. It is a pure function of (m, n, k), the
-    // scalar type, and the committed tuning table, so the same shape always
-    // runs the same kernel at the same tile regardless of thread count.
+    // Tile selection happens HERE, once, on the calling thread — before
+    // the parallel fan-out. It is a pure function of (m, n, k) and the
+    // scalar type, so the same shape always runs the same kernel at the
+    // same tile regardless of thread count.
     let sel = crate::tile::select_gemm::<T>(m, n, k);
-    let (mr, nr, mc, kc) = (sel.mr, sel.nr, sel.mc, sel.kc);
+    let (mr, nr, mc, kc) = (sel.mr, sel.nr, sel.mc, T::GEMM_KC);
     debug_assert_eq!(NC % nr, 0, "column chunks must align with NR strips");
     debug_assert_eq!(mc % mr, 0, "MC must be a multiple of MR");
     // Pack both operands once, before the fan-out: the buffers are shared
@@ -444,8 +443,8 @@ fn syr2k_split(n: usize, k: usize) -> Option<usize> {
 /// triangular recursive calls plus one full off-diagonal block computed as
 /// two *near-square* packed GEMMs (`A_lo·B_hiᵀ` then `B_lo·A_hiᵀ`). That
 /// feeds the big block-end updates of the detached band reduction to the
-/// kernel tiers at the shapes they are tuned for, instead of the 64-wide
-/// column strips of the blocked base case. The split point depends only on
+/// packed GEMM at near-square shapes, where its large tile runs fastest,
+/// instead of the 64-wide column strips of the blocked base case. The split point depends only on
 /// `(n, k)`, and each GEMM's internal fan-out is the deterministic
 /// fixed-chunk `for_col_chunks` partition, so the result is bit-identical
 /// at any thread count.

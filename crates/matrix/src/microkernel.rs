@@ -10,9 +10,9 @@
 //! the old loop nest.
 //!
 //! Everything here is safe Rust: the hot loops use const-length slice
-//! windows so bounds checks hoist and the autovectorizer fires. The tier
-//! dispatcher ([`crate::tile::kernel_for`]) owns the finite set of
-//! monomorphized instances.
+//! windows so bounds checks hoist and the autovectorizer fires. Two
+//! instances run: 8×4 for small shapes (`tile::select_gemm`) and
+//! each scalar type's measured tile (`Scalar::GEMM_KERNEL`).
 //!
 //! **Determinism contract:** every accumulator element takes one fused
 //! multiply-add per `k` step — `acc = fma(a, b, acc)`, a single rounding
@@ -33,7 +33,12 @@
 
 use crate::scalar::Scalar;
 
-/// `C[..mr, ..nr] += alpha · Ap·Bp` for one packed tile pair.
+/// Lane width of the microkernel's accumulator blocks and of the row
+/// kernels in [`crate::tile`]: one 256-bit register of f32, two of f64.
+pub const LANES: usize = 8;
+
+/// `C[..mr, ..nr] += alpha · Ap·Bp` for one packed tile pair, at tile
+/// height `MR = MV·LANES` and width `NR`.
 ///
 /// * `a` — `kc` micro-columns of `MR` packed values (`a[l*MR + i]`,
 ///   zero-padded past the matrix edge).
@@ -43,85 +48,28 @@ use crate::scalar::Scalar;
 ///   computed (they cost nothing: full-width FMA) but never stored, so
 ///   padding zeros cannot perturb the result.
 /// * `mr ≤ MR`, `nr ≤ NR` — the live extent of a ragged edge tile.
+///
+/// The accumulator is `NR` columns of `MV` const-length `[T; LANES]`
+/// blocks, and each `k` step walks the lane blocks of the A strip in the
+/// outer loop and the tile columns in the inner one: one A block is loaded
+/// once and meets all `NR` broadcast B values. That shape is what the
+/// autovectorizer keeps entirely in vector registers, 8×4 up to 32×8.
+/// With the columns in the outer loop instead (one flat `MR`-long column
+/// per B value), LLVM keeps 8×8 and 16×4 in registers but vectorizes 16×8
+/// and 32×8 across the columns, with a gather/scatter per step, at a tenth
+/// of the speed.
+///
+/// **Bit-exactness:** each `acc[j][i]` takes its
+/// `fma(a[l·MR+i], b[l·NR+j], ·)` steps in ascending `l` — lane blocking
+/// regroups *which elements sit in one vector register*, never the
+/// per-element operation order — so for equal `kc` every tile gives the
+/// same bits.
 // `inline(never)`: the kernel must be compiled as its own well-vectorized
 // function. When it inlines into the (large, generic) chunk closure of
 // `blas3::gemm_with`, register pressure from the surrounding loop nest
 // wrecks the accumulator allocation and throughput drops ~5×; outlined,
 // every instantiation gets the same tight FMA loop and the per-tile call
 // cost is noise (one call per kc·MR·NR ≈ 8k flops).
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-pub fn microkernel<T: Scalar, const MR: usize, const NR: usize>(
-    kc: usize,
-    a: &[T],
-    b: &[T],
-    alpha: T,
-    c: &mut [T],
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    assert!(mr <= MR && nr <= NR, "live tile exceeds MR×NR");
-    assert!(a.len() >= kc * MR, "packed A strip too short");
-    assert!(b.len() >= kc * NR, "packed B strip too short");
-    let mut acc = [[T::ZERO; MR]; NR];
-    // chunks_exact + fixed-size conversion: every length in the hot loop is
-    // a compile-time constant, so no per-iteration bounds checks survive
-    // and the autovectorizer sees straight-line FMA chains.
-    for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {
-        // chunks_exact guarantees the slice lengths, so these conversions
-        // cannot fail; the `else` arms are dead branches kept panic-free so
-        // the kernel stays reachable-safe from the hot paths (lint R8).
-        let Ok(av) = <&[T; MR]>::try_from(av) else {
-            continue;
-        };
-        let Ok(bv) = <&[T; NR]>::try_from(bv) else {
-            continue;
-        };
-        for (col, &w) in acc.iter_mut().zip(bv.iter()) {
-            for (x, &ai) in col.iter_mut().zip(av.iter()) {
-                *x = ai.mul_add(w, *x);
-            }
-        }
-    }
-    if mr == MR && nr == NR {
-        // full tile: const-length writeback, fully unrollable
-        for (j, col) in acc.iter().enumerate() {
-            let cj = &mut c[j * ldc..j * ldc + MR];
-            for (ci, &x) in cj.iter_mut().zip(col) {
-                *ci += alpha * x;
-            }
-        }
-    } else {
-        // ragged edge: write only the live corner
-        for (j, col) in acc.iter().take(nr).enumerate() {
-            let cj = &mut c[j * ldc..j * ldc + mr];
-            for (ci, &x) in cj.iter_mut().zip(col) {
-                *ci += alpha * x;
-            }
-        }
-    }
-}
-
-/// The wide-lane variant of [`microkernel`]: same packed-strip contract,
-/// same per-element fused accumulation, at tile height `MR = MV·LANES`.
-/// The accumulator is `NR` columns of `MV` const-length `[T; LANES]`
-/// blocks, and each `k` step walks the lane blocks of the A strip in the
-/// outer loop and the tile columns in the inner one: one A block is loaded
-/// once and meets all `NR` broadcast B values. That shape is what the
-/// autovectorizer keeps entirely in vector registers at every tile the
-/// dispatcher offers, 8×4 up to 32×8. With the columns in the outer loop
-/// instead (one flat `MR`-long column per B value), LLVM keeps 8×8 and
-/// 16×4 in registers but vectorizes 16×8 and 32×8 across the columns, with
-/// a gather/scatter per step, at a tenth of the speed.
-///
-/// **Bit-exactness:** each `acc[j][i]` still takes its
-/// `fma(a[l·MR+i], b[l·NR+j], ·)` steps in ascending `l` — lane blocking
-/// regroups *which elements sit in one vector register*, never the
-/// per-element operation order — so for equal `kc` this kernel is
-/// bit-identical to [`microkernel`] at any tile. The tiered dispatch in
-/// [`crate::tile`] relies on that to keep the scalar kernel a usable
-/// oracle.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 pub fn microkernel_wide<T: Scalar, const MV: usize, const NR: usize, const LANES: usize>(
@@ -140,8 +88,9 @@ pub fn microkernel_wide<T: Scalar, const MV: usize, const NR: usize, const LANES
     assert!(b.len() >= kc * NR, "packed B strip too short");
     let mut acc = [[[T::ZERO; LANES]; MV]; NR];
     for (av, bv) in a.chunks_exact(tile_m).zip(b.chunks_exact(NR)).take(kc) {
-        // chunks_exact guarantees the lengths; the `else` arms are dead
-        // branches kept panic-free for lint R8, as in `microkernel`.
+        // chunks_exact guarantees the lengths, so these conversions cannot
+        // fail; the `else` arms are dead branches kept panic-free so the
+        // kernel stays reachable-safe from the hot paths (lint R8).
         let Ok(bv) = <&[T; NR]>::try_from(bv) else {
             continue;
         };
@@ -179,20 +128,18 @@ pub fn microkernel_wide<T: Scalar, const MV: usize, const NR: usize, const LANES
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tile::{kernel_for, KernelTier, MicroFn};
+    use crate::tile::{select_gemm, MicroFn};
 
     /// Hand-packed 2×2 strips against a naive per-entry product.
     #[test]
     fn full_tile_matches_naive() {
-        const MR: usize = 2;
-        const NR: usize = 2;
         let kc = 3;
         // op(A) = [[1,2,3],[4,5,6]] packed as micro-columns
         let a = [1.0f64, 4.0, 2.0, 5.0, 3.0, 6.0];
         // op(B) = [[7,8],[9,10],[11,12]] packed as micro-rows
         let b = [7.0f64, 8.0, 9.0, 10.0, 11.0, 12.0];
         let mut c = [1.0f64; 4]; // 2×2, ldc = 2
-        microkernel::<f64, MR, NR>(kc, &a, &b, 2.0, &mut c, 2, 2, 2);
+        microkernel_wide::<f64, 1, 2, 2>(kc, &a, &b, 2.0, &mut c, 2, 2, 2);
         // A·B = [[58,64],[139,154]]; C = 1 + 2·(A·B), column-major
         assert_eq!(c, [117.0, 279.0, 129.0, 309.0]);
     }
@@ -213,42 +160,25 @@ mod tests {
         a[1] = f32::NAN;
         b[1] = f32::NAN;
         let mut c = [-1.0f32; 8]; // generous buffer, ldc = 4
-        microkernel::<f32, MR, NR>(kc, &a, &b, 1.0, &mut c, 4, 1, 1);
+        microkernel_wide::<f32, 1, NR, MR>(kc, &a, &b, 1.0, &mut c, 4, 1, 1);
         assert_eq!(c[0], -1.0 + 3.0 * 5.0 + 2.0 * 7.0);
         assert!(c[1..].iter().all(|&v| v == -1.0));
     }
 
+    /// With alpha = 1 and one live element the kernel reduces to an ordered
+    /// dot product; pin the exact f32 rounding of the k-ascending order
+    /// (catastrophic cancellation makes any other order visible).
     #[test]
     fn accumulation_order_is_k_ascending() {
-        // with alpha = 1 and a 1×1 tile the kernel reduces to an ordered
-        // dot product; pin the exact f32 rounding of that order
-        const MR: usize = 1;
         const NR: usize = 1;
-        let vals = [1.0e8f32, 1.0, -1.0e8, 1.0];
-        let ones = [1.0f32; 4];
-        let mut c = [0.0f32];
-        microkernel::<f32, MR, NR>(4, &vals, &ones, 1.0, &mut c, 1, 1, 1);
-        let mut want = 0.0f32;
-        for v in vals {
-            want = v.mul_add(1.0, want);
-        }
-        assert_eq!(c[0], want);
-    }
-
-    /// Lane-blocking must not disturb the pinned k-ascending accumulation
-    /// order (same catastrophic-cancellation probe as the scalar kernel).
-    #[test]
-    fn wide_accumulation_order_is_k_ascending() {
-        const MR: usize = 8;
-        const NR: usize = 1;
-        let mut a = [0.0f32; 4 * MR];
+        let mut a = [0.0f32; 4 * LANES];
         let vals = [1.0e8f32, 1.0, -1.0e8, 1.0];
         for (l, v) in vals.iter().enumerate() {
-            a[l * MR] = *v;
+            a[l * LANES] = *v;
         }
         let ones = [1.0f32; 4 * NR];
-        let mut c = [0.0f32; MR];
-        microkernel_wide::<f32, 1, NR, 8>(4, &a, &ones, 1.0, &mut c, MR, 1, 1);
+        let mut c = [0.0f32; LANES];
+        microkernel_wide::<f32, 1, NR, LANES>(4, &a, &ones, 1.0, &mut c, LANES, 1, 1);
         let mut want = 0.0f32;
         for v in vals {
             want = v.mul_add(1.0, want);
@@ -302,19 +232,16 @@ mod tests {
         acc + a * b
     }
 
-    /// Every kernel the dispatcher offers, in both tiers, with its tile.
-    fn offered_kernels() -> Vec<(KernelTier, usize, usize, MicroFn<f32>)> {
-        let mut out = Vec::new();
-        for tier in [KernelTier::Scalar, KernelTier::Wide] {
-            for mr in [4, 8, 16, 32] {
-                for nr in [4, 8] {
-                    if let Some(k) = kernel_for::<f32>(tier, mr, nr) {
-                        out.push((tier, mr, nr, k));
-                    }
-                }
-            }
-        }
-        out
+    /// The two kernels dispatch runs — the small-shape tile and the
+    /// measured one — with their tiles.
+    fn dispatched_kernels() -> Vec<(usize, usize, MicroFn<f32>)> {
+        [(8, 8, 8), (1024, 1024, 1024)]
+            .into_iter()
+            .map(|(m, n, k)| {
+                let s = select_gemm::<f32>(m, n, k);
+                (s.mr, s.nr, s.kernel)
+            })
+            .collect()
     }
 
     /// Runs `kernel` and `step`'s written-out loop on the same strips, for
@@ -327,7 +254,7 @@ mod tests {
     ) -> bool {
         let kc = 37;
         let mut any_diff = false;
-        for (tier, tm, tn, kernel) in offered_kernels() {
+        for (tm, tn, kernel) in dispatched_kernels() {
             let a: Vec<f32> = (0..kc * tm).map(|_| operand()).collect();
             let b: Vec<f32> = (0..kc * tn).map(|_| operand()).collect();
             for live in [
@@ -347,7 +274,7 @@ mod tests {
                     .all(|(x, y)| x.to_bits() == y.to_bits());
                 assert!(
                     same || !exact,
-                    "{tier:?} {tm}×{tn} live {live:?} differs from the written-out loop"
+                    "{tm}×{tn} live {live:?} differs from the written-out loop"
                 );
                 any_diff |= !same;
             }
@@ -355,12 +282,11 @@ mod tests {
         any_diff
     }
 
-    /// Both tiers, at every offered tile, equal the written-out `mul_add`
-    /// chain bit for bit — and therefore each other, the dispatch layer's
-    /// oracle contract. On general f32 data that chain is not the unfused
-    /// one, so the comparison would catch a kernel that never fused.
+    /// Both dispatched kernels equal the written-out `mul_add` chain bit for
+    /// bit. On general f32 data that chain is not the unfused one, so the
+    /// comparison would catch a kernel that never fused.
     #[test]
-    fn every_offered_kernel_is_the_written_out_fma_chain() {
+    fn every_dispatched_kernel_is_the_written_out_fma_chain() {
         compare_with_written_out(&mut lcg(11), fused, true);
         assert!(
             compare_with_written_out(&mut lcg(11), unfused, false),

@@ -147,8 +147,8 @@ pub struct Roofline {
     pub hbm_bytes_per_s: f64,
     /// Intensity (flop/byte) where the bandwidth slope meets the ceiling.
     pub ridge_intensity: f64,
-    /// Measured host software-kernel peak (the wide tier of
-    /// `tcevd_matrix::tile`), TFLOPS — the ceiling the `model_residual`
+    /// Measured host software-kernel peak (the packed GEMM of
+    /// `tcevd_matrix::blas3`), TFLOPS — the ceiling the `model_residual`
     /// ratios are really up against.
     pub host_peak_tflops: f64,
 }
@@ -176,9 +176,8 @@ pub fn roofline_text(engine: Engine, labels: &[LabelReport]) -> String {
         r.ridge_intensity
     );
     out.push_str(&format!(
-        "  host kernel tiers (measured f32): reference {:.1} / scalar {:.1} / wide {:.1} GF/s — software peak {:.4} TFLOPS\n",
+        "  host GEMM (measured f32): reference {:.1} / wide {:.1} GF/s — software peak {:.4} TFLOPS\n",
         rates::host_f32_gflops(rates::HostTier::Reference),
-        rates::host_f32_gflops(rates::HostTier::Scalar),
         rates::host_f32_gflops(rates::HostTier::Wide),
         r.host_peak_tflops,
     ));
@@ -362,7 +361,7 @@ mod tests {
         // small-k GEMMs sit far below the ridge
         assert!(text.contains("memory-bound"));
         // the measured software ceiling is quoted alongside the model's
-        assert!(text.contains("host kernel tiers"));
+        assert!(text.contains("host GEMM"));
         assert!(text.contains("wide 29.4 GF/s"));
     }
 

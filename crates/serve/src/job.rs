@@ -31,8 +31,8 @@ pub struct JobSpec {
     /// per-attempt copy).
     pub matrix: Arc<Mat<f32>>,
     /// Pipeline configuration. `threads` is overridden by the scheduler:
-    /// small jobs run sequentially (the batch is the parallelism), large
-    /// jobs get the configured pool.
+    /// small jobs run on one thread (the workers are the parallelism),
+    /// large jobs get the configured pool.
     pub opts: SymEigOptions,
     /// Scheduling priority.
     pub priority: Priority,

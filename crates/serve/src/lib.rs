@@ -1,6 +1,6 @@
 //! # tcevd-serve — EVD as a service
 //!
-//! A fault-isolated batched EVD service over the `tcevd-core` pipeline
+//! A fault-isolated EVD service over the `tcevd-core` pipeline
 //! (ROADMAP item 1: absorb thousands of concurrent small/medium EVDs).
 //! One bad job — singular input, an injected fault, a runaway recovery
 //! ladder — must never take the process down or contaminate its neighbors;
@@ -12,10 +12,10 @@
 //!   optional compute budget + retry budget (+ an optional chaos-suite
 //!   fault plan).
 //! * [`EvdService`] — bounded admission queue with priority-aware shedding
-//!   ([`EvdError::Overloaded`]), worker threads that pack small jobs into
-//!   batched fan-outs and give large jobs the whole PR-4 pool, per-job
-//!   fault isolation (own `TraceSink`, own error scope, worker-panic
-//!   containment via `catch_unwind`), deadline cancellation at the
+//!   ([`EvdError::Overloaded`]), worker threads that each take one job at
+//!   a time, running small jobs on one thread and giving large jobs the
+//!   whole worker pool, per-job fault isolation (own `TraceSink`, own
+//!   error scope, worker-panic containment via `catch_unwind`), deadline cancellation at the
 //!   pipeline's stage seams, retry with deterministic seeded backoff, an
 //!   overload mode that downgrades `RecoveryPolicy`, and a results cache
 //!   keyed by matrix-bits + options hash.

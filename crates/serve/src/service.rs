@@ -1,4 +1,4 @@
-//! The scheduler: admission control, batched dispatch, per-job isolation,
+//! The scheduler: admission control, one-job dispatch, per-job isolation,
 //! deadlines, retry with deterministic backoff, and graceful degradation.
 
 use std::collections::{HashMap, VecDeque};
@@ -42,12 +42,10 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Symmetry tolerance for input validation (`None` skips the check).
     pub asym_tol: Option<f32>,
-    /// Jobs with `n ≤ small_cutoff` are "small": they run sequentially
-    /// (`threads = 1`) and are packed into batched fan-outs, the batch
-    /// itself being the parallelism.
+    /// Jobs with `n ≤ small_cutoff` are "small": they run on one thread
+    /// (`threads = 1`), so the parallelism across them is the service's
+    /// workers, each running one job at a time.
     pub small_cutoff: usize,
-    /// Maximum small jobs a worker grabs per batch.
-    pub batch: usize,
     /// Worker-pool budget for large jobs (`0` = auto). Never changes
     /// results — the pipeline is bit-identical at every thread count.
     pub threads_large: usize,
@@ -64,7 +62,6 @@ impl Default for ServeConfig {
             cache_capacity: 32,
             asym_tol: Some(1e-4),
             small_cutoff: 64,
-            batch: 4,
             threads_large: 0,
         }
     }
@@ -348,16 +345,11 @@ impl EvdService {
     /// also safe alongside live workers (it simply competes for jobs).
     pub fn run_pending(&self) -> usize {
         let mut ran = 0;
-        loop {
-            let batch = take_batch(&self.shared);
-            if batch.is_empty() {
-                return ran;
-            }
-            for id in batch {
-                run_job(&self.shared, id);
-                ran += 1;
-            }
+        while let Some(id) = take_next(&self.shared) {
+            run_job(&self.shared, id);
+            ran += 1;
         }
+        ran
     }
 
     /// The service-level metrics sink (`serve.*` counters, per-job labels,
@@ -425,7 +417,7 @@ fn clone_result(r: Option<&Result<SymEigResult, EvdError>>) -> Result<SymEigResu
 
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let batch = {
+        let next = {
             let mut st = lock(&shared.state);
             loop {
                 if st.front().is_some() {
@@ -440,57 +432,33 @@ fn worker_loop(shared: &Arc<Shared>) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
             drop(st);
-            take_batch(shared)
+            take_next(shared)
         };
-        for id in batch {
+        if let Some(id) = next {
             run_job(shared, id);
         }
     }
 }
 
-/// Pop the next job — and, when it is small, up to `config.batch` small
-/// jobs — marking each `Running` and recording the overload decision made
-/// at dispatch time.
-fn take_batch(shared: &Shared) -> Vec<u64> {
+/// Pop the next job, marking it `Running` and recording the overload
+/// decision made at dispatch time.
+fn take_next(shared: &Shared) -> Option<u64> {
     let config = &shared.config;
     let mut st = lock(&shared.state);
     let degraded = {
         let occupancy = st.queue_len() as f64;
         occupancy > config.overload_watermark * config.queue_capacity as f64
     };
-    let Some(first) = st.pop_next() else {
-        return Vec::new();
-    };
-    let mut batch = vec![first];
-    let is_small = |st: &SchedState, id: u64| {
-        st.jobs
-            .get(&id)
-            .map(|e| e.spec.matrix.rows() <= config.small_cutoff)
-            .unwrap_or(false)
-    };
-    if is_small(&st, first) {
-        while batch.len() < config.batch.max(1) {
-            let Some(next) = st.front() else { break };
-            if !is_small(&st, next) {
-                break;
-            }
-            st.pop_next();
-            batch.push(next);
+    let id = st.pop_next()?;
+    if let Some(e) = st.jobs.get_mut(&id) {
+        e.state = JobState::Running;
+        e.attempt += 1;
+        e.degraded = degraded;
+        if degraded {
+            shared.sink.add("serve.degraded", 1);
         }
     }
-    shared.sink.add("serve.batches", 1);
-    shared.sink.record("serve.batch_size", batch.len() as u64);
-    for &id in &batch {
-        if let Some(e) = st.jobs.get_mut(&id) {
-            e.state = JobState::Running;
-            e.attempt += 1;
-            e.degraded = degraded;
-            if degraded {
-                shared.sink.add("serve.degraded", 1);
-            }
-        }
-    }
-    batch
+    Some(id)
 }
 
 fn panic_detail(p: Box<dyn std::any::Any + Send>) -> String {
@@ -519,7 +487,7 @@ fn run_job(shared: &Shared, id: u64) {
     let mut opts = spec.opts;
     opts.trace = true;
     opts.threads = if n <= config.small_cutoff {
-        1 // small jobs: the batch is the parallelism
+        1 // small jobs: the workers are the parallelism
     } else {
         config.threads_large
     };

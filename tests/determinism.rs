@@ -351,20 +351,63 @@ fn unordered_reduction_diverges_across_thread_counts() {
     );
 }
 
-/// GEMM kernel-tier selection is a pure function of the problem shape and
-/// the committed tuning table: repeated queries agree, and the
-/// worker-pool size is invisible to it. Selection happens once on the
-/// calling thread before any parallel fan-out, so nothing about timing,
-/// thread identity, or call history may leak into the chosen tier or tile
-/// shape.
+/// `C ← alpha·op(A)·op(B) + beta·C` written out per element, the chain
+/// every GEMM tile promises: C scaled by `beta` (here never 0 or 1), then
+/// for each `KC`-deep panel `c += alpha·acc`, where `acc` is a `mul_add`
+/// chain over the panel's `k` in ascending order.
+#[allow(clippy::too_many_arguments)]
+fn written_out_gemm<T: tcevd::matrix::Scalar>(
+    alpha: T,
+    a: &Mat<T>,
+    op_a: tcevd::matrix::Op,
+    b: &Mat<T>,
+    op_b: tcevd::matrix::Op,
+    beta: T,
+    c0: &Mat<T>,
+) -> Vec<u64> {
+    use tcevd::matrix::Op;
+    let at = |i: usize, l: usize| match op_a {
+        Op::NoTrans => a[(i, l)],
+        Op::Trans => a[(l, i)],
+    };
+    let bt = |l: usize, j: usize| match op_b {
+        Op::NoTrans => b[(l, j)],
+        Op::Trans => b[(j, l)],
+    };
+    let k = match op_a {
+        Op::NoTrans => a.cols(),
+        Op::Trans => a.rows(),
+    };
+    let mut out = Vec::new();
+    for j in 0..c0.cols() {
+        for i in 0..c0.rows() {
+            let mut c = c0[(i, j)] * beta;
+            for p0 in (0..k).step_by(T::GEMM_KC) {
+                let mut acc = T::ZERO;
+                for l in p0..(p0 + T::GEMM_KC).min(k) {
+                    acc = at(i, l).mul_add(bt(l, j), acc);
+                }
+                c += alpha * acc;
+            }
+            out.push(c.to_f64().to_bits());
+        }
+    }
+    out
+}
+
+/// GEMM tile selection is a pure function of the problem shape and the
+/// scalar type: repeated queries agree, and the worker-pool size is
+/// invisible to it. Selection happens once on the calling thread before
+/// any parallel fan-out, so nothing about timing, thread identity, or call
+/// history may leak into the chosen tile.
 #[test]
 fn kernel_tier_selection_is_pure_in_shape() {
-    use tcevd::matrix::tile::{row_tier, select_gemm};
+    use tcevd::matrix::tile::select_gemm;
     let _serial = RUN_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let shapes = [
-        (8usize, 8usize, 8usize), // Small bucket
-        (47, 47, 47),             // just under the Small cutoff
-        (48, 48, 48),             // first non-Small shape
+        (8usize, 8usize, 8usize), // small-shape tile
+        (47, 47, 47),             // just under the small-shape cutoff
+        (48, 48, 48),             // first shape at the type's tile
         (97, 5, 203),             // ragged
         (1024, 1024, 1024),       // the acceptance square
         (300, 128, 300),          // rank-k update family
@@ -376,19 +419,8 @@ fn kernel_tier_selection_is_pure_in_shape() {
             let s32 = select_gemm::<f32>(m, n, k);
             let s64 = select_gemm::<f64>(m, n, k);
             sig.push(format!(
-                "{m}x{n}x{k} f32:{:?}/{}/{}/{}/{} f64:{:?}/{}/{}/{}/{} row32:{:?} row64:{:?}",
-                s32.tier,
-                s32.mr,
-                s32.nr,
-                s32.mc,
-                s32.kc,
-                s64.tier,
-                s64.mr,
-                s64.nr,
-                s64.mc,
-                s64.kc,
-                row_tier::<f32>(m),
-                row_tier::<f64>(m),
+                "{m}x{n}x{k} f32:{}/{}/{} f64:{}/{}/{}",
+                s32.mr, s32.nr, s32.mc, s64.mr, s64.nr, s64.mc,
             ));
         }
         sig
@@ -400,31 +432,27 @@ fn kernel_tier_selection_is_pure_in_shape() {
     rayon::configure(0);
     assert_eq!(
         at_1, at_4,
-        "tier selection must not depend on the worker-pool size"
+        "tile selection must not depend on the worker-pool size"
     );
     assert_eq!(
         probe(),
         probe(),
-        "tier selection must be call-to-call stable"
+        "tile selection must be call-to-call stable"
     );
 }
 
-/// The wide tier is bit-exact against the PR-5 scalar oracle across every
-/// `Op` combination, ragged (non-multiple-of-tile) shapes, both scalar
-/// types, and 1-vs-4 worker threads. KC is pinned per scalar type across
-/// tiers, so the k-accumulation order — the only order that reaches the
-/// bits of C — is identical; MR/NR/MC only regroup register residency.
+/// The lane ("wide") microkernel, which runs every GEMM, is bit-exact
+/// against the scalar oracle [`written_out_gemm`] whatever tile it runs:
+/// shapes on both sides of the small-shape cutoff (largest dimension 48)
+/// run both dispatched tiles, ragged shapes leave partial tiles and a
+/// partial KC panel (k = 257), and every `Op` pair, both scalar types and
+/// 1 and 4 workers are covered with `beta ≠ 0`.
 #[test]
 fn wide_tier_matches_scalar_oracle_bitwise() {
     use tcevd::matrix::blas3::gemm;
-    use tcevd::matrix::tile::{with_tile_override, KernelTier, TileOverride};
-    use tcevd::matrix::Op;
+    use tcevd::matrix::{Op, Scalar};
     let _serial = RUN_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
 
-    let force = |tier: KernelTier| TileOverride {
-        tier: Some(tier),
-        shape: None,
-    };
     let mut state = 0x5DEECE66Du64;
     let mut fill = |rows: usize, cols: usize| -> Mat<f32> {
         let data = (0..rows * cols)
@@ -438,8 +466,31 @@ fn wide_tier_matches_scalar_oracle_bitwise() {
         Mat::from_col_major(rows, cols, data)
     };
 
-    // All ragged: none of m, n, k is a multiple of any tier's MR/NR/KC.
-    let shapes = [(65usize, 67usize, 63usize), (129, 33, 257), (97, 101, 5)];
+    fn check<T: Scalar>(a: &Mat<T>, op_a: Op, b: &Mat<T>, op_b: Op, c0: &Mat<T>, what: &str) {
+        let (alpha, beta) = (T::from_f64(1.25), T::from_f64(0.5));
+        let want = written_out_gemm(alpha, a, op_a, b, op_b, beta, c0);
+        for threads in [1usize, 4] {
+            rayon::configure(threads);
+            let mut c = c0.clone();
+            gemm(alpha, a.as_ref(), op_a, b.as_ref(), op_b, beta, c.as_mut());
+            let got: Vec<u64> = c.as_slice().iter().map(|x| x.to_f64().to_bits()).collect();
+            assert!(
+                got == want,
+                "{what} {} threads={threads}: gemm diverged from the written-out chain",
+                T::NAME
+            );
+        }
+        rayon::configure(0);
+    }
+
+    let shapes = [
+        (8usize, 8usize, 8usize),
+        (47, 47, 47),
+        (48, 48, 48),
+        (65, 67, 63),
+        (129, 33, 257),
+        (97, 101, 5),
+    ];
     for (m, n, k) in shapes {
         for op_a in [Op::NoTrans, Op::Trans] {
             for op_b in [Op::NoTrans, Op::Trans] {
@@ -447,63 +498,14 @@ fn wide_tier_matches_scalar_oracle_bitwise() {
                 let (br, bc) = if op_b == Op::NoTrans { (k, n) } else { (n, k) };
                 let a = fill(ar, ac);
                 let b = fill(br, bc);
-                let c0 = fill(m, n); // beta path must agree too
-                for threads in [1usize, 4] {
-                    rayon::configure(threads);
-                    let run = |tier: KernelTier| -> Vec<u32> {
-                        let mut c = c0.clone();
-                        with_tile_override(force(tier), || {
-                            gemm(
-                                1.25f32,
-                                a.as_ref(),
-                                op_a,
-                                b.as_ref(),
-                                op_b,
-                                0.5f32,
-                                c.as_mut(),
-                            )
-                        });
-                        c.as_slice().iter().map(|x| x.to_bits()).collect()
-                    };
-                    assert_eq!(
-                        run(KernelTier::Wide),
-                        run(KernelTier::Scalar),
-                        "{m}x{n}x{k} {op_a:?}/{op_b:?} threads={threads}: \
-                         wide tier diverged from the scalar oracle"
-                    );
-                }
+                let c0 = fill(m, n);
+                let what = format!("{m}x{n}x{k} {op_a:?}/{op_b:?}");
+                check(&a, op_a, &b, op_b, &c0, &what);
+                let (ad, bd, cd): (Mat<f64>, Mat<f64>, Mat<f64>) = (a.cast(), b.cast(), c0.cast());
+                check(&ad, op_a, &bd, op_b, &cd, &what);
             }
         }
     }
-
-    // f64 spot check on a ragged shape, both thread counts.
-    let ad: Mat<f64> = fill(65, 63).cast();
-    let bd: Mat<f64> = fill(67, 63).cast(); // n × k, consumed as Bᵀ
-    let cd0: Mat<f64> = fill(65, 67).cast();
-    for threads in [1usize, 4] {
-        rayon::configure(threads);
-        let run = |tier: KernelTier| -> Vec<u64> {
-            let mut c = cd0.clone();
-            with_tile_override(force(tier), || {
-                gemm(
-                    1.25f64,
-                    ad.as_ref(),
-                    Op::NoTrans,
-                    bd.as_ref(),
-                    Op::Trans,
-                    0.5f64,
-                    c.as_mut(),
-                )
-            });
-            c.as_slice().iter().map(|x| x.to_bits()).collect()
-        };
-        assert_eq!(
-            run(KernelTier::Wide),
-            run(KernelTier::Scalar),
-            "f64 threads={threads}: wide tier diverged from the scalar oracle"
-        );
-    }
-    rayon::configure(0);
 }
 
 #[test]

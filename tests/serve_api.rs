@@ -118,7 +118,7 @@ fn results_cache_serves_repeat_submissions_without_compute() {
 
 #[test]
 fn live_workers_count_a_mixed_workload_exactly() {
-    // Sizes cycle through three batched ones and 96, which is over
+    // Sizes cycle through three small ones and 96, which is over
     // `small_cutoff` and shards onto the worker pool. All unique jobs are
     // waited on before every fifth is resubmitted, so each resubmission
     // hits the cache and no counter depends on scheduling.
@@ -131,7 +131,6 @@ fn live_workers_count_a_mixed_workload_exactly() {
         queue_capacity: jobs + 8,
         cache_capacity: jobs,
         small_cutoff: 64,
-        batch: 4,
         threads_large: 2,
         backoff_base: Duration::from_millis(1),
         ..ServeConfig::default()

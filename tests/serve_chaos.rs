@@ -28,7 +28,7 @@ use tcevd::trace::TraceSink;
 
 const JOBS: usize = 100;
 const SEED: u64 = 11;
-/// Small sizes keep the suite fast; index-stepped so batches mix sizes.
+/// Small sizes keep the suite fast; index-stepped so the queue mixes sizes.
 const SIZES: [usize; 4] = [16, 24, 32, 48];
 /// Every 25th-ish job is above the small cutoff and shards onto the pool.
 const LARGE_EVERY: usize = 25;
@@ -157,7 +157,6 @@ fn run_workload(workers: usize, threads_large: usize) -> RunOutcome {
         queue_capacity: 256,
         cache_capacity: 0, // no cache: every job must really compute
         small_cutoff: 64,
-        batch: 4,
         threads_large,
         backoff_base: Duration::from_micros(50),
         ..ServeConfig::default()
