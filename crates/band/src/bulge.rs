@@ -226,6 +226,12 @@ mod tests {
             reflectors,
             "{tag}: reflectors"
         );
+        // The band work's count stays 6n²b; forming Q adds the group GEMMs'.
+        let (n64, b64) = (n as u64, b as u64);
+        assert_eq!(sink.counter("kernel_flops.bulge"), 6 * n64 * n64 * b64);
+        let groups = sink.counter("bulge_q_groups");
+        assert_eq!(groups > 0, reflectors > 0, "{tag}: groups");
+        assert_eq!(sink.counter("kernel_flops.bulge_q") > 0, groups > 0);
 
         let a64: Mat<f64> = a.cast();
         let norm = frobenius(a64.as_ref());

@@ -18,6 +18,11 @@
 //! packed storage is a set of dots and axpys over contiguous column
 //! slices; see [`two_sided_packed`].
 //!
+//! When `Q₂` is requested, the reflectors of 16 consecutive sweeps are
+//! buffered and applied to it as compact-WY groups, two thin GEMMs each,
+//! in an order that keeps the sequential product (see [`crate::qupdate`]).
+//! The band work and its bits do not depend on it.
+//!
 //! Generic over [`Scalar`]: the f32 pipeline and the f64 reference use the
 //! same code.
 
@@ -86,9 +91,9 @@ pub(crate) fn chase<T: Scalar>(
 fn sweep<T: Scalar>(a: &mut SymBand<T>, b: usize, q: Option<&mut Mat<T>>, sink: &TraceSink) {
     let n = a.n();
     // Q accumulation is the chase's O(n³) term (the band work is only
-    // O(n²·b)); see `crate::qupdate` for how it is batched and how it
-    // skips the rows of Q that are still zero.
-    let mut acc = q.map(QAccumulator::new);
+    // O(n²·b)); see `crate::qupdate` for how it groups the reflectors into
+    // GEMMs and how it skips the rows of Q that are still zero.
+    let mut acc = q.map(|q| QAccumulator::new(q, b));
     let mut ws = Workspace::new(n, b);
     for j in 0..n.saturating_sub(2) {
         sink.add("bulge_sweeps", 1);
@@ -112,6 +117,8 @@ fn sweep<T: Scalar>(a: &mut SymBand<T>, b: usize, q: Option<&mut Mat<T>>, sink: 
     }
     if let Some(acc) = acc.as_mut() {
         acc.finish();
+        sink.add("bulge_q_groups", acc.groups);
+        sink.add("kernel_flops.bulge_q", acc.flops);
     }
 }
 

@@ -37,6 +37,24 @@ pub fn symmetrize(a: &mut Mat<f32>) {
     symmetrize_view(a.as_mut());
 }
 
+/// [`symmetrize`] then [`clip_to_band`], bit for bit, touching only the
+/// band: average the two triangles where `|i − j| ≤ b` and zero the rest of
+/// each column.
+pub(crate) fn symmetrize_band(a: &mut Mat<f32>, b: usize) {
+    let n = a.rows();
+    for j in 0..n {
+        let hi = (j + b + 1).min(n);
+        for i in j + 1..hi {
+            let s = 0.5 * (a.get(j, i) + a.get(i, j));
+            a.set(j, i, s);
+            a.set(i, j, s);
+        }
+        let (lo, col) = (j.saturating_sub(b), a.col_mut(j));
+        col.iter_mut().take(lo).for_each(|x| *x = 0.0);
+        col.iter_mut().skip(hi).for_each(|x| *x = 0.0);
+    }
+}
+
 /// [`symmetrize`] on a square view.
 pub(crate) fn symmetrize_view(mut a: MatMut<'_, f32>) {
     let n = a.rows();

@@ -1,388 +1,428 @@
-//! Batched, thread-parallel accumulation of chase reflectors into Q.
+//! Compact-WY accumulation of the chase's reflectors into `Q₂`.
 //!
-//! During a bulge-chasing sweep the Q update dominates the flop count:
-//! every reflector right-multiplies all `n` rows of Q, for `O(n³)` total
-//! versus the chase's own `O(n²·b)` band work. Forking the pool per
-//! reflector would drown in spawn overhead (each application is only
-//! `≈4·n·b` flops), so the chase loops instead record one outer
-//! iteration's reflectors and batch-apply them here, fanning **disjoint
-//! row blocks** of Q across the pool — roughly `4·n²` flops per flush,
-//! enough to amortize a handful of scoped spawns.
+//! Every chase reflector right-multiplies `Q₂` (`Q ← Q·H`): that is the
+//! chase's `O(n³)` term, against `O(n²·b)` band work. Applied one at a
+//! time, each reflector is a rank-1 update at level-2 speed.
+//! [`QAccumulator`] instead buffers the reflectors of [`GROUP_SWEEPS`]
+//! consecutive sweeps and applies them as compact-WY groups, each as two
+//! thin GEMMs — the paper's reshaping of level-2 updates into GEMMs,
+//! applied to stage 2.
 //!
-//! # Bit-exactness
+//! # Grouping
 //!
-//! Right-multiplication `Q ← Q·H` is row-local: row `i` is updated from
-//! its own elements only (`w_i = Σ_j v_j·Q[i, s+j]`, then
-//! `Q[i, s+j] −= τ·v_j·w_i`). Each worker applies the batch's reflectors
-//! in recorded order with exactly
-//! [`apply_reflector_right`](tcevd_factor::householder::apply_reflector_right)'s
-//! loop structure and skip tests, so the result is bit-identical to
-//! applying each reflector immediately during the chase — for any row
-//! partition and any thread count.
+//! The `k`-th reflector of sweep `j`, `H(j, k)`, acts on the columns
+//! `[j + 1 + k·b, j + 1 + k·b + b)` (fewer at the bottom of the matrix).
+//! For a block of `m ≤ b` sweeps `j0 … j0+m−1`, group `G_k` holds
+//! `H(j0+i, k)` in sweep order, and the groups are applied in descending
+//! `k`. This keeps the sequential product. For `j < j′` in one block, the
+//! only overlapping pairs are `H(j, k)`/`H(j′, k)`, ordered within `G_k`,
+//! and `H(j, k+1)`/`H(j′, k)`, ordered because `G_{k+1}` goes before
+//! `G_k`. Every other pair has disjoint spans and commutes. A reflector
+//! with `τ = 0` is the identity and is never pushed, so a group may have
+//! gaps.
+//!
+//! Each group is `G_k = I − V·T·Vᵀ`. `V` is the `(b+m−1)×m` staircase of
+//! its vectors, and `T` is upper triangular from the forward, columnwise
+//! [`larft`] recurrence. Over the union `U` of the group's spans this gives
+//! `C = Q[:, U]·V`, then `Q[:, U] −= C·(V·Tᵀ)ᵀ`: two
+//! [`gemm`](tcevd_matrix::blas3::gemm)s, of inner dimension `|U|` and `m`.
+//! The chase is host scalar arithmetic, so they do not go through
+//! `GemmContext`. `blas3::gemm` is bit-identical at every pool size, and
+//! so is `Q₂`.
+//!
+//! The grouped product equals the sequential one in exact arithmetic, not
+//! bit for bit; the tests hold it to the sequential product within a
+//! stated `c·n·u`.
 //!
 //! # Rows that are still zero
 //!
-//! Q starts as the identity, so early in the chase most of each column is
-//! still exactly `+0`. [`QAccumulator`] keeps `top[c]`, a row above which
-//! column `c` of Q is all `+0`, initialised by scanning Q (so a Q that an
-//! earlier sweep already filled stays exact). A reflector on columns
-//! `[s, e)` updates only rows `[r0, n)`, `r0 = min top[s..e)`, and then
-//! sets `top[s..e) = r0`. That skips no arithmetic that could change a
-//! bit: on a row that is `+0` across the span, `w_i = +0` and every entry
-//! stays `+0 − t·(+0) = +0` (for finite `τ·v`, which the chase's finite
-//! band guarantees). Started from the identity, this cuts the accumulation
-//! by about a third.
+//! `Q₂` starts as the identity, so early in the chase most of each column
+//! is still exactly `+0`. [`QAccumulator`] keeps `top[c]`, a row above
+//! which column `c` of Q is all `+0`; it starts at `c`. A group on columns
+//! `U` updates only the rows `[r0, n)`, `r0 = min top[U]`, and then sets
+//! `top[U] = r0`. The rows above `r0` are never read or written, so they
+//! stay `+0`. Started from the identity, this cuts the accumulation by
+//! about a third.
 
-use tcevd_factor::householder::apply_reflector_right;
+use tcevd_factor::qr::larft;
+use tcevd_matrix::blas3::gemm;
 use tcevd_matrix::scalar::Scalar;
-use tcevd_matrix::{Mat, MatMut};
+use tcevd_matrix::{Mat, Op};
 
-/// One recorded chase reflector awaiting batched application to Q.
-struct PendingReflector<T> {
-    /// First column of the reflector's span in Q.
-    s: usize,
-    /// First row it updates: Q is `+0` above it across the span.
-    r0: usize,
-    tau: T,
-    /// Reflector vector (`v[0] == 1`).
-    v: Vec<T>,
-}
+/// Sweeps whose reflectors are applied together: the group size `m`
+/// (capped at `b`). Of 4, 8, 16 and 32, 16 ran the chase fastest at
+/// n = 1024, b = 32 (EXPERIMENTS.md).
+pub(crate) const GROUP_SWEEPS: usize = 16;
 
-/// Rows per parallel task when batch-applying recorded reflectors to Q.
-/// Fixed — never derived from the thread count — so the partition is the
-/// same at every pool size; the arithmetic is row-local anyway, so any
-/// partition yields identical bits.
-const Q_ROWS_PER_TASK: usize = 128;
-
-/// Recorded reflectors accumulate across sweeps until the batch reaches
-/// this size, then flush in one parallel pass. Large enough that each
-/// flush carries tens of megaflops (amortizing the scoped thread spawns),
-/// small enough that the pending buffer stays a few kilobytes.
-const Q_FLUSH_REFLECTORS: usize = 192;
-
-/// Whether recording-and-batching pays off for an n×n Q on the current
-/// pool. Below the cutoff (or on a single-thread pool) immediate
-/// application is faster; both paths produce identical bits, so this
-/// gate never affects results.
-fn batching_pays_off(n: usize) -> bool {
-    rayon::current_num_threads() > 1 && n >= 2 * Q_ROWS_PER_TASK
-}
-
-/// Accumulates a chase's reflectors into Q: immediately on one thread or
-/// below the [`batching_pays_off`] cutoff, otherwise recorded and flushed
-/// in batches through [`apply_pending_to_q`]. Both paths produce identical
-/// bits, so the gate never affects results. Either path updates only the
-/// rows at or below each reflector's `r0` (see the module docs).
+/// Accumulates a chase's reflectors into Q as compact-WY groups (see the
+/// module docs). The chase calls [`push`](Self::push) for each reflector
+/// with `τ ≠ 0`, [`end_sweep`](Self::end_sweep) after each sweep and
+/// [`finish`](Self::finish) at the end.
 pub(crate) struct QAccumulator<'q, T> {
     q: &'q mut Mat<T>,
+    b: usize,
+    /// Sweeps per block: [`GROUP_SWEEPS`], at most `b`.
+    m: usize,
+    /// Reflector positions `k` per sweep.
+    slots: usize,
     /// Column `c` of Q is `+0` in every row above `top[c]`.
     top: Vec<usize>,
-    batched: bool,
-    pending: Vec<PendingReflector<T>>,
+    /// First sweep of the buffered block.
+    j0: usize,
+    /// Sweeps of the block ended so far.
+    swept: usize,
+    /// Column `i·slots + k` holds `H(j0+i, k)`'s vector (`v[0] = 1`) in its
+    /// first `len[i·slots + k]` rows.
+    refl: Mat<T>,
+    len: Vec<usize>,
+    /// `τ` of each slot; `0` where nothing was pushed.
+    tau: Vec<T>,
+    /// Per-group scratch: the block indices `i` of the group's reflectors,
+    /// `V`, `W = V·Tᵀ`, and `C = Q[r0.., U]·V`.
+    members: Vec<usize>,
+    v: Mat<T>,
+    w: Mat<T>,
+    c: Mat<T>,
+    /// Groups applied, and the flops of their GEMMs.
+    pub(crate) groups: u64,
+    pub(crate) flops: u64,
 }
 
 impl<'q, T: Scalar> QAccumulator<'q, T> {
-    pub(crate) fn new(q: &'q mut Mat<T>) -> Self {
+    /// Accumulate into `q`, which must be the identity, the reflectors of a
+    /// chase of bandwidth `b`.
+    pub(crate) fn new(q: &'q mut Mat<T>, b: usize) -> Self {
         let n = q.rows();
-        let top = (0..q.cols())
-            .map(|c| {
-                q.col(c)
-                    .iter()
-                    .position(|x| x.to_f64().to_bits() != 0)
-                    .unwrap_or(n)
-            })
-            .collect();
+        let m = GROUP_SWEEPS.min(b);
+        let slots = n.div_ceil(b);
         QAccumulator {
-            batched: batching_pays_off(n),
             q,
-            top,
-            pending: Vec::new(),
+            b,
+            m,
+            slots,
+            top: (0..n).collect(),
+            j0: 0,
+            swept: 0,
+            refl: Mat::zeros(b, m * slots),
+            len: vec![0; m * slots],
+            tau: vec![T::ZERO; m * slots],
+            members: Vec::with_capacity(m),
+            v: Mat::zeros(b + m - 1, m),
+            w: Mat::zeros(b + m - 1, m),
+            c: Mat::zeros(n, m),
+            groups: 0,
+            flops: 0,
         }
     }
 
-    /// `Q ← Q·H` for `H = I − τ·v·vᵀ` acting on columns `[s, s + v.len())`.
+    /// Record `H = I − τ·v·vᵀ` acting on columns `[s, s + v.len())`, the
+    /// next reflector of the current sweep.
     pub(crate) fn push(&mut self, s: usize, tau: T, v: &[T]) {
-        let n = self.q.rows();
-        let span = &mut self.top[s..s + v.len()];
-        let r0 = span.iter().copied().min().unwrap_or(n);
-        span.fill(r0);
-        if self.batched {
-            self.pending.push(PendingReflector {
-                s,
-                r0,
-                tau,
-                v: v.to_vec(),
-            });
-        } else if r0 < n {
-            apply_reflector_right(tau, v, self.q.view_mut(r0, s, n - r0, v.len()));
-        }
+        let j = self.j0 + self.swept;
+        let slot = self.swept * self.slots + (s - j - 1) / self.b;
+        self.refl.col_mut(slot)[..v.len()].copy_from_slice(v);
+        self.len[slot] = v.len();
+        self.tau[slot] = tau;
     }
 
-    /// Called once per outer chase iteration. Reflectors only ever append
-    /// to Q's product, so batches can span sweeps; flush once enough work
-    /// has accumulated to amortize the fan-out (order is preserved, bits
-    /// unchanged).
+    /// Called once after each sweep; applies the block once it holds
+    /// `m` sweeps.
     pub(crate) fn end_sweep(&mut self) {
-        if self.pending.len() >= Q_FLUSH_REFLECTORS {
-            self.finish();
+        self.swept += 1;
+        if self.swept == self.m {
+            self.apply_block();
         }
     }
 
-    /// Apply every reflector still pending.
+    /// Apply the reflectors of a last, partial block.
     pub(crate) fn finish(&mut self) {
-        apply_pending_to_q(self.q, &self.pending);
-        self.pending.clear();
+        if self.swept > 0 {
+            self.apply_block();
+        }
     }
-}
 
-/// Apply a batch of recorded reflectors to `q` in recorded order, fanning
-/// disjoint row blocks of Q across the thread pool. The batch may span
-/// several chase sweeps, so the touched column range is the union
-/// `[min s, max s + v.len())` over the batch. Each reflector updates only
-/// the block's rows at or below its `r0`.
-fn apply_pending_to_q<T: Scalar>(q: &mut Mat<T>, pending: &[PendingReflector<T>]) {
-    if pending.is_empty() {
-        return;
-    }
-    let n = q.rows();
-    let c0 = pending.iter().map(|r| r.s).min().unwrap_or(0);
-    let cend = pending.iter().map(|r| r.s + r.v.len()).max().unwrap_or(0);
-    // Decompose Q[:, c0..cend) into per-column row segments of fixed
-    // height, gathering segment k of every column into task k. Column-major
-    // storage makes a row block a set of per-column subslices, never one
-    // contiguous range — `split_at_mut` per column keeps this safe code.
-    let ncols = cend - c0;
-    let ntasks = n.div_ceil(Q_ROWS_PER_TASK);
-    let mut tasks: Vec<(usize, Vec<&mut [T]>)> = (0..ntasks)
-        .map(|t| (t * Q_ROWS_PER_TASK, Vec::with_capacity(ncols)))
-        .collect();
-    let mut rem: Option<MatMut<'_, T>> = Some(q.view_mut(0, c0, n, ncols));
-    while let Some(cur) = rem.take() {
-        let (col, rest) = if cur.cols() > 1 {
-            let (c, r) = cur.split_cols_at(1);
-            (c, Some(r))
-        } else {
-            (cur, None)
-        };
-        let rows = col.rows();
-        let mut seg = &mut col.into_slice()[..rows];
-        let mut t = 0;
-        while !seg.is_empty() {
-            let take = Q_ROWS_PER_TASK.min(seg.len());
-            let (head, tail) = seg.split_at_mut(take);
-            tasks[t].1.push(head);
-            seg = tail;
-            t += 1;
-        }
-        rem = rest;
-    }
-    // Row-kernel selection happens once, on the calling thread, before
-    // the fan-out (same discipline as blas3::gemm_with): both forms are
-    // bit-identical for these row-local loops, but selection must stay a
-    // pure function of shape, never of which worker runs.
-    let rk = tcevd_matrix::tile::row_kernels::<T>(Q_ROWS_PER_TASK.min(n));
-    rayon::for_each_chunk(tasks, &|(row0, mut cols): (usize, Vec<&mut [T]>)| {
-        let rb = cols.first().map_or(0, |c| c.len());
-        let mut w = vec![T::ZERO; rb];
-        for refl in pending {
-            let lo = refl.r0.saturating_sub(row0);
-            if lo >= rb {
+    /// Apply the buffered block as its groups `G_k`, in descending `k`.
+    fn apply_block(&mut self) {
+        let n = self.q.rows();
+        let (b, slots, j0) = (self.b, self.slots, self.j0);
+        for k in (0..slots).rev() {
+            self.members.clear();
+            self.members
+                .extend((0..self.swept).filter(|&i| self.tau[i * slots + k] != T::ZERO));
+            let Some(&first) = self.members.first() else {
                 continue;
+            };
+            // Column span of H(j0 + i, k).
+            let start = |i: usize| j0 + i + 1 + k * b;
+            let c0 = start(first);
+            let cend = self
+                .members
+                .iter()
+                .map(|&i| start(i) + self.len[i * slots + k])
+                .max()
+                .unwrap_or(c0);
+            let (ncols, mg) = (cend - c0, self.members.len());
+
+            // V: each vector at its offset in U, zero elsewhere.
+            let mut v = self.v.view_mut(0, 0, ncols, mg);
+            v.fill(T::ZERO);
+            for (p, &i) in self.members.iter().enumerate() {
+                let (slot, off) = (i * slots + k, start(i) - c0);
+                let len = self.len[slot];
+                v.col_mut(p)[off..off + len].copy_from_slice(&self.refl.col(slot)[..len]);
             }
-            let w = &mut w[lo..];
-            w.fill(T::ZERO);
-            let off = refl.s - c0;
-            for (jl, &vj) in refl.v.iter().enumerate() {
-                if vj != T::ZERO {
-                    (rk.acc)(vj, &cols[off + jl][lo..rb], w);
+            let v = self.v.view(0, 0, ncols, mg);
+
+            let taus: Vec<T> = self
+                .members
+                .iter()
+                .map(|&i| self.tau[i * slots + k])
+                .collect();
+            let t = larft(v, &taus);
+            // W = V·Tᵀ: column p is Σ_{c ≥ p} T[p, c]·v_c.
+            let mut w = self.w.view_mut(0, 0, ncols, mg);
+            for p in 0..mg {
+                let wp = w.col_mut(p);
+                wp.fill(T::ZERO);
+                for c in p..mg {
+                    let tpc = t[(p, c)];
+                    for (x, &y) in wp.iter_mut().zip(v.col(c)) {
+                        *x += tpc * y;
+                    }
                 }
             }
-            for (jl, &vj) in refl.v.iter().enumerate() {
-                let t = refl.tau * vj;
-                if t != T::ZERO {
-                    (rk.sub)(t, w, &mut cols[off + jl][lo..rb]);
-                }
-            }
+
+            // Rows above r0 are +0 across U: leave them untouched.
+            let span = &mut self.top[c0..cend];
+            let r0 = span.iter().copied().min().unwrap_or(n);
+            span.fill(r0);
+            let rows = n - r0;
+            gemm(
+                T::ONE,
+                self.q.view(r0, c0, rows, ncols),
+                Op::NoTrans,
+                v,
+                Op::NoTrans,
+                T::ZERO,
+                self.c.view_mut(0, 0, rows, mg),
+            );
+            gemm(
+                -T::ONE,
+                self.c.view(0, 0, rows, mg),
+                Op::NoTrans,
+                self.w.view(0, 0, ncols, mg),
+                Op::Trans,
+                T::ONE,
+                self.q.view_mut(r0, c0, rows, ncols),
+            );
+            self.groups += 1;
+            self.flops += 4 * (rows * ncols * mg) as u64;
         }
-    });
+        self.tau.fill(T::ZERO);
+        self.j0 += self.swept;
+        self.swept = 0;
+    }
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+    use tcevd_factor::householder::apply_reflector_right;
 
-    fn rand_mat(m: usize, n: usize, seed: u64) -> Mat<f64> {
-        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(3);
-        Mat::from_fn(m, n, |_, _| {
-            s = s
+    /// One recorded reflector: sweep `j`, first column `s`, `τ`, `v`.
+    struct Refl<T> {
+        j: usize,
+        s: usize,
+        tau: T,
+        v: Vec<T>,
+    }
+
+    /// The chase's reflector schedule on an n×n Q at bandwidth `b`, with
+    /// random orthogonal reflectors (`v[0] = 1`, `τ = 2/vᵀv`), the ragged
+    /// last reflector of each sweep, and `τ = 0` on about one in five.
+    fn schedule<T: Scalar>(n: usize, b: usize, seed: u64) -> Vec<Refl<T>> {
+        let mut st = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(7);
+        let mut next = move || {
+            st = st
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        })
-    }
-
-    /// Batched application must be bit-identical to immediate sequential
-    /// application, at several thread counts and awkward shapes.
-    #[test]
-    fn batched_matches_immediate_bitwise() {
-        let n = 300; // not a multiple of Q_ROWS_PER_TASK
-        let b = 5;
-        let mut reflectors = Vec::new();
-        let mut s = 2;
-        let mut seed = 100;
-        while s + 2 < n {
-            let len = (b + 1).min(n - s);
-            let mut v: Vec<f64> = rand_mat(len, 1, seed).as_slice().to_vec();
-            v[0] = 1.0;
-            if seed % 3 == 0 {
-                v[len / 2] = 0.0; // exercise the vj == 0 skip
-            }
-            reflectors.push(PendingReflector {
-                s,
-                r0: 0,
-                tau: 0.3 + 0.1 * (seed % 7) as f64,
-                v,
-            });
-            s += b;
-            seed += 1;
-        }
-
-        let q0 = rand_mat(n, n, 42);
-        let mut q_seq = q0.clone();
-        for r in &reflectors {
-            apply_reflector_right(r.tau, &r.v, q_seq.view_mut(0, r.s, n, r.v.len()));
-        }
-        let mut q_par = q0.clone();
-        apply_pending_to_q(&mut q_par, &reflectors);
-        assert_eq!(
-            q_seq.max_abs_diff(&q_par),
-            0.0,
-            "batched Q accumulation must be bit-identical"
-        );
-    }
-
-    /// A batch spanning two sweeps has non-monotone spans (the second
-    /// sweep restarts near the top and may end *shallower* than the
-    /// first); the union column range must still cover every reflector.
-    #[test]
-    fn cross_sweep_batch_matches_immediate_bitwise() {
-        let n = 280;
-        let b = 7;
-        let mut reflectors = Vec::new();
-        let mut seed = 500;
-        for j in [0usize, 1, 2] {
+            ((st >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        let mut out = Vec::new();
+        for j in 0..n.saturating_sub(2) {
             let mut s = j + 1;
-            while s + 2 < n {
-                let len = (b + 1).min(n - s);
-                let mut v: Vec<f64> = rand_mat(len, 1, seed).as_slice().to_vec();
-                v[0] = 1.0;
-                reflectors.push(PendingReflector {
-                    s,
-                    r0: 0,
-                    tau: 0.2 + 0.1 * (seed % 5) as f64,
-                    v,
-                });
-                s += b;
-                seed += 1;
-            }
-        }
-
-        let q0 = rand_mat(n, n, 77);
-        let mut q_seq = q0.clone();
-        for r in &reflectors {
-            apply_reflector_right(r.tau, &r.v, q_seq.view_mut(0, r.s, n, r.v.len()));
-        }
-        let mut q_par = q0.clone();
-        apply_pending_to_q(&mut q_par, &reflectors);
-        assert_eq!(
-            q_seq.max_abs_diff(&q_par),
-            0.0,
-            "cross-sweep batched Q accumulation must be bit-identical"
-        );
-    }
-
-    /// Three chase-like sweeps of span-`b` reflectors on an n×n Q, each
-    /// sweep starting one column below the last.
-    fn chase_reflectors(n: usize, b: usize) -> Vec<PendingReflector<f64>> {
-        let mut reflectors = Vec::new();
-        let mut seed = 900;
-        for j in 0..3 {
-            let mut s = j + 1;
-            while s + 1 < n {
+            while s < n {
                 let len = b.min(n - s);
-                let mut v: Vec<f64> = rand_mat(len, 1, seed).as_slice().to_vec();
-                v[0] = 1.0;
-                if seed % 4 == 0 {
-                    v[len - 1] = 0.0;
+                if len <= 1 {
+                    break;
                 }
-                reflectors.push(PendingReflector {
-                    s,
-                    r0: 0,
-                    tau: 0.4 + 0.1 * (seed % 6) as f64,
-                    v,
-                });
+                let v: Vec<T> = (0..len)
+                    .map(|i| T::from_f64(if i == 0 { 1.0 } else { next() }))
+                    .collect();
+                let tau = if next() < -0.6 {
+                    T::ZERO
+                } else {
+                    T::from_f64(2.0) / v.iter().fold(T::ZERO, |a, &x| a + x * x)
+                };
+                out.push(Refl { j, s, tau, v });
                 s += b;
-                seed += 1;
             }
         }
-        reflectors
+        out
     }
 
-    fn bits(q: &Mat<f64>) -> Vec<u64> {
-        q.as_slice().iter().map(|x| x.to_bits()).collect()
+    /// What [`grouped`] leaves: Q, the final `top`, the group count and
+    /// the group GEMMs' flops.
+    struct Run<T> {
+        q: Mat<T>,
+        top: Vec<usize>,
+        groups: u64,
+        flops: u64,
     }
 
-    /// Accumulating through the row bound — immediately and batched — must
-    /// equal full-row application bit for bit, signed zeros included, on
-    /// the identity and on a Q whose upper part mixes `+0`, `−0` and
-    /// non-zero entries.
+    /// Accumulate `refl` into the identity as the chase does; `all_rows`
+    /// clears the zero-row bound first, so every group updates every row.
+    fn grouped<T: Scalar>(n: usize, b: usize, refl: &[Refl<T>], all_rows: bool) -> Run<T> {
+        let mut q = Mat::<T>::identity(n, n);
+        let mut acc = QAccumulator::new(&mut q, b);
+        if all_rows {
+            acc.top.fill(0);
+        }
+        let mut it = refl.iter().peekable();
+        for j in 0..n.saturating_sub(2) {
+            while let Some(r) = it.next_if(|r| r.j == j) {
+                if r.tau != T::ZERO {
+                    acc.push(r.s, r.tau, &r.v);
+                }
+            }
+            acc.end_sweep();
+        }
+        acc.finish();
+        let (top, groups, flops) = (acc.top.clone(), acc.groups, acc.flops);
+        Run {
+            q,
+            top,
+            groups,
+            flops,
+        }
+    }
+
+    fn bits<T: Scalar>(q: &Mat<T>) -> Vec<u64> {
+        q.as_slice().iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    /// The sequential product `I·H₁·H₂⋯`, one reflector at a time.
+    fn sequential<T: Scalar>(n: usize, refl: &[Refl<T>]) -> Mat<T> {
+        let mut q = Mat::<T>::identity(n, n);
+        for r in refl {
+            apply_reflector_right(r.tau, &r.v, q.view_mut(0, r.s, n, r.v.len()));
+        }
+        q
+    }
+
+    fn shapes() -> Vec<(usize, usize)> {
+        let mut shapes = Vec::new();
+        for b in [2, 3, 8, 32] {
+            for n in [3, b + 1, b + 2, 2 * b + 1, 100, 300] {
+                shapes.push((n, b));
+            }
+        }
+        shapes
+    }
+
+    /// The constant `c` of the `‖Q_grouped − Q_sequential‖_F ≤ c·n·u`
+    /// bound, `u` the precision's unit roundoff. Both products are
+    /// backward stable, so the bound is on their difference; the largest
+    /// ratio over [`shapes`] is 1.16 (f32, n = 9, b = 8); the others are
+    /// 0.9 or less.
+    const C: f64 = 2.0;
+
+    /// Grouped accumulation matches the sequential product within `c·n·u`
+    /// on every shape, with a partial last block, ragged last reflectors
+    /// and `τ = 0` gaps; the rows above each column's bound are exactly
+    /// `+0`; and the group count is the number of distinct `(block, k)`
+    /// among the pushed reflectors.
+    fn check<T: Scalar>(seed: u64) {
+        for (idx, (n, b)) in shapes().into_iter().enumerate() {
+            let refl = schedule::<T>(n, b, seed + idx as u64);
+            let Run { q, top, groups, .. } = grouped(n, b, &refl, false);
+            let want = sequential(n, &refl);
+            let tag = format!("{} n={n} b={b}", T::NAME);
+
+            let diff = q
+                .as_slice()
+                .iter()
+                .zip(want.as_slice())
+                .map(|(x, y)| (x.to_f64() - y.to_f64()).powi(2))
+                .sum::<f64>()
+                .sqrt();
+            let unit = n as f64 * T::EPSILON.to_f64() * 0.5;
+            assert!(
+                diff <= C * unit,
+                "{tag}: {:.3} n·u from the sequential product",
+                diff / unit
+            );
+
+            for (c, &t) in top.iter().enumerate() {
+                for i in 0..t {
+                    assert_eq!(q[(i, c)].to_f64().to_bits(), 0, "{tag}: Q[{i}, {c}]");
+                    assert_eq!(want[(i, c)], T::ZERO, "{tag}: bound is not exact");
+                }
+            }
+            let m = GROUP_SWEEPS.min(b);
+            let want_groups: BTreeSet<(usize, usize)> = refl
+                .iter()
+                .filter(|r| r.tau != T::ZERO)
+                .map(|r| (r.j / m, (r.s - r.j - 1) / b))
+                .collect();
+            assert_eq!(groups, want_groups.len() as u64, "{tag}: groups");
+        }
+    }
+
+    #[test]
+    fn grouped_matches_the_sequential_product_f64() {
+        check::<f64>(10);
+    }
+
+    #[test]
+    fn grouped_matches_the_sequential_product_f32() {
+        check::<f32>(20);
+    }
+
+    /// The zero-row bound changes no bit: accumulating over every row
+    /// (`top` cleared to 0) gives the same Q, because each GEMM row is its
+    /// own FMA chain and the skipped rows only ever hold `+0`. On these
+    /// shapes the bound skips 28–43% of the GEMM flops.
     #[test]
     fn row_bound_matches_full_rows_bitwise() {
-        let n = 300; // not a multiple of Q_ROWS_PER_TASK
-        let reflectors = chase_reflectors(n, 6);
-        let dense = rand_mat(n, n, 13);
-        let mixed = Mat::from_fn(n, n, |i, c| {
-            if i >= c || (i * 7 + c) % 37 == 0 {
-                dense[(i, c)]
-            } else if (i + c) % 5 == 0 {
-                -0.0
-            } else {
-                0.0
-            }
-        });
-        for q0 in [Mat::<f64>::identity(n, n), mixed] {
-            let mut want = q0.clone();
-            for r in &reflectors {
-                apply_reflector_right(r.tau, &r.v, want.view_mut(0, r.s, n, r.v.len()));
-            }
-            for batched in [false, true] {
-                let mut q = q0.clone();
-                let mut acc = QAccumulator::new(&mut q);
-                acc.batched = batched;
-                for r in &reflectors {
-                    acc.push(r.s, r.tau, &r.v);
-                    acc.end_sweep();
-                }
-                acc.finish();
-                assert!(bits(&q) == bits(&want), "batched = {batched}");
-            }
+        for (n, b) in [(300, 8), (300, 32), (100, 3)] {
+            let refl = schedule::<f64>(n, b, 3);
+            let bounded = grouped(n, b, &refl, false);
+            let full = grouped(n, b, &refl, true);
+            assert!(bits(&bounded.q) == bits(&full.q), "n={n} b={b}");
+            let (fb, ff) = (bounded.flops, full.flops);
+            assert!(4 * fb < 3 * ff, "n={n} b={b}: {fb} of {ff} flops");
         }
-        // On the identity the bound engages: the first reflector, on
-        // columns [1, 7), starts at row 1.
-        let mut q = Mat::<f64>::identity(n, n);
-        let mut acc = QAccumulator::new(&mut q);
-        acc.batched = true;
-        let r = &reflectors[0];
-        acc.push(r.s, r.tau, &r.v);
-        assert_eq!(acc.pending[0].r0, 1);
     }
 
+    /// Q is bit-identical at 1 and 4 pool threads. At n = 512, b = 32 the
+    /// early groups' update GEMM (up to 2·512·47·16 flops) clears
+    /// `blas3::gemm`'s parallel threshold and forks into two column chunks,
+    /// so the 4-thread run does go parallel.
     #[test]
-    fn empty_batch_is_a_no_op() {
-        let mut q = rand_mat(8, 8, 7);
-        let before = q.clone();
-        apply_pending_to_q(&mut q, &[]);
-        assert_eq!(q.max_abs_diff(&before), 0.0);
+    fn grouped_q_is_thread_count_invariant() {
+        let (n, b) = (512, 32);
+        let refl = schedule::<f32>(n, b, 5);
+        rayon::configure(1);
+        let q1 = grouped(n, b, &refl, false).q;
+        rayon::configure(4);
+        let before = rayon::stats();
+        let q4 = grouped(n, b, &refl, false).q;
+        let forks = rayon::stats().since(&before).join_parallel;
+        rayon::configure(0);
+        assert!(forks > 0, "the 4-thread run never forked");
+        assert!(bits(&q1) == bits(&q4));
     }
 }

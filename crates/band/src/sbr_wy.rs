@@ -70,7 +70,7 @@
 //!
 //! That test holds the measured peak to this list.
 
-use crate::common::{accumulate_q_right, clip_to_band, symmetrize, symmetrize_view};
+use crate::common::{accumulate_q_right, symmetrize_band, symmetrize_view};
 use crate::panel::{factor_panel_with, PanelKind};
 use tcevd_matrix::{Mat, Op};
 use tcevd_tensorcore::GemmContext;
@@ -179,6 +179,20 @@ pub fn sbr_wy(
 /// assert_eq!(max_outside_band(r.band.as_ref(), 8), 0.0);
 /// ```
 pub fn sbr_blocked(
+    a: &Mat<f32>,
+    opts: &WyOptions,
+    end: BlockEnd,
+    ctx: &GemmContext,
+) -> Result<WySbrResult, crate::BandError> {
+    let mut r = sbr_unfinished(a, opts, end, ctx)?;
+    symmetrize_band(&mut r.band, opts.bandwidth);
+    Ok(r)
+}
+
+/// [`sbr_blocked`] before its last pass: the band still differs from its
+/// transpose by the roundoff of the one-sided updates, and the entries
+/// outside it hold roundoff instead of zeros.
+fn sbr_unfinished(
     a: &Mat<f32>,
     opts: &WyOptions,
     end: BlockEnd,
@@ -487,8 +501,6 @@ pub fn sbr_blocked(
         off += processed;
     }
 
-    symmetrize(&mut a);
-    clip_to_band(&mut a, b);
     Ok(WySbrResult { band: a, q, levels })
 }
 
@@ -536,6 +548,40 @@ mod tests {
             panel: PanelKind::Tsqr,
             accumulate_q: acc,
         }
+    }
+
+    /// The band-only last pass equals the full-matrix `symmetrize` and
+    /// `clip_to_band` it replaced, bit for bit, on each engine's SBR output
+    /// and in every setting; `sbr_blocked` returns exactly that band.
+    #[test]
+    fn band_symmetrize_matches_the_full_pass_bitwise() {
+        use crate::common::{clip_to_band, symmetrize};
+        let bits =
+            |m: &Mat<f32>| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
+        // the pass is not a no-op on these inputs
+        let mut changed = false;
+        for engine in [Engine::Sgemm, Engine::Tc, Engine::EcTc] {
+            let ctx = GemmContext::new(engine);
+            for n in [3, 9, 97, 300] {
+                let b = 8.min(n - 1);
+                for (end, blocks) in SETTINGS {
+                    let o = opts(b, b * blocks, false);
+                    let a = test_matrix(n, n as u64);
+                    let raw = sbr_unfinished(&a, &o, end, &ctx).unwrap().band;
+                    let mut want = raw.clone();
+                    symmetrize(&mut want);
+                    clip_to_band(&mut want, b);
+                    changed |= bits(&raw) != bits(&want);
+                    let mut got = raw;
+                    symmetrize_band(&mut got, b);
+                    let tag = format!("{engine:?} n={n} {end:?} nb={}", b * blocks);
+                    assert!(bits(&got) == bits(&want), "{tag}");
+                    let band = sbr_blocked(&a, &o, end, &ctx).unwrap().band;
+                    assert!(bits(&band) == bits(&want), "{tag}: sbr_blocked");
+                }
+            }
+        }
+        assert!(changed);
     }
 
     #[test]

@@ -195,9 +195,11 @@ fn thread_count_is_invisible_dbr_detached_block() {
 
 #[test]
 fn thread_count_is_invisible_on_the_batched_q_path() {
-    // n = 300 crosses the batched-Q cutoff in the bulge chase (n ≥ 256),
-    // so this configuration exercises the parallel row-block Q update and
-    // the parallel GEMM fan-out together.
+    // n = 300, b = 8: the bulge chase applies its reflectors to Q₂ as
+    // compact-WY groups of 8 sweeps (`band::qupdate`). Their GEMMs stay
+    // under `blas3::gemm`'s parallel threshold here, so this runs the
+    // serial group path next to the pipeline's parallel GEMMs; the forking
+    // group GEMMs are covered at n = 1024, b = 32 below.
     assert_thread_invariant(
         13,
         300,

@@ -127,13 +127,15 @@ fn sink_flops_match_context_accounting() {
 fn identical_runs_emit_identical_counters() {
     let (s1, _) = traced_run(11);
     let (s2, _) = traced_run(11);
-    // wall-clock counters (`time.*`) legitimately differ between runs;
-    // everything else — including the attribution layer's flop/byte/
-    // peak-memory counters — must be bit-identical
+    // wall-clock counters (`time.*`) and the pool telemetry (`par.*`,
+    // which counts how the scheduler happened to split work) legitimately
+    // differ between runs, as in `tests/determinism.rs`; everything else —
+    // including the attribution layer's flop/byte/peak-memory counters —
+    // must be bit-identical
     let strip = |s: &TraceSink| -> BTreeMap<String, u64> {
         s.counters()
             .into_iter()
-            .filter(|(k, _)| !k.starts_with("time."))
+            .filter(|(k, _)| !k.starts_with("par.") && !k.starts_with("time."))
             .collect()
     };
     assert_eq!(strip(&s1), strip(&s2));
