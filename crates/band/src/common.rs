@@ -55,14 +55,54 @@ pub(crate) fn symmetrize_band(a: &mut Mat<f32>, b: usize) {
     }
 }
 
-/// [`symmetrize`] on a square view.
+/// Tile edge of [`symmetrize_view`]: a 32×32 f32 tile is 4 KB. Of 16, 32
+/// and 64, 32 ran a 1024² matrix fastest (EXPERIMENTS.md).
+const SYM_TILE: usize = 32;
+
+/// [`symmetrize`] on a square view, tile by tile. Each pair `i < j` gets
+/// `0.5·(a[i, j] + a[j, i])` in both entries, exactly as a plain walk over
+/// the pairs gives it; the pairs are disjoint, so the visiting order
+/// changes no bit. A plain walk reads the lower triangle along rows, one
+/// cache line per entry at a stride of `ld`, which thrashes when `ld` is a
+/// large power of two. Here each off-diagonal tile of the lower triangle
+/// is gathered by columns into a buffer, averaged there against the
+/// mirrored upper tile, and scattered back by columns.
 pub(crate) fn symmetrize_view(mut a: MatMut<'_, f32>) {
+    const T: usize = SYM_TILE;
     let n = a.rows();
-    for j in 0..n {
-        for i in 0..j {
-            let s = 0.5 * (a.get(i, j) + a.get(j, i));
-            a.set(i, j, s);
-            a.set(j, i, s);
+    let mut buf = [0.0f32; T * T];
+    for j0 in (0..n).step_by(T) {
+        let tj = T.min(n - j0);
+        for j in j0..j0 + tj {
+            for i in j0..j {
+                let s = 0.5 * (a.get(i, j) + a.get(j, i));
+                a.set(i, j, s);
+                a.set(j, i, s);
+            }
+        }
+        // Full tiles above the diagonal one: every row index i in
+        // i0..i0+T is below every column index j in j0..j0+tj.
+        for i0 in (0..j0).step_by(T) {
+            // Row il of `buf` holds a[j0..j0+tj, i0 + il], one column of
+            // the lower tile.
+            for (il, row) in buf.chunks_exact_mut(T).enumerate() {
+                let col = a.col_mut(i0 + il).iter().skip(j0).take(tj);
+                row.iter_mut().zip(col).for_each(|(x, &v)| *x = v);
+            }
+            for jl in 0..tj {
+                let upper = a.col_mut(j0 + jl).iter_mut().skip(i0).take(T);
+                for (u, row) in upper.zip(buf.chunks_exact_mut(T)) {
+                    if let Some(l) = row.get_mut(jl) {
+                        let s = 0.5 * (*u + *l);
+                        *u = s;
+                        *l = s;
+                    }
+                }
+            }
+            for (il, row) in buf.chunks_exact(T).enumerate() {
+                let col = a.col_mut(i0 + il).iter_mut().skip(j0).take(tj);
+                col.zip(row).for_each(|(x, &v)| *x = v);
+            }
         }
     }
 }
@@ -120,6 +160,54 @@ mod tests {
         assert_eq!(max_outside_band(a.as_ref(), 1), 0.0);
         assert!(a[(1, 0)] != 0.0); // band kept
         assert_eq!(a[(2, 0)], 0.0);
+    }
+
+    /// The untiled walk [`symmetrize_view`] replaced, kept as its oracle.
+    fn symmetrize_view_untiled(mut a: MatMut<'_, f32>) {
+        let n = a.rows();
+        for j in 0..n {
+            for i in 0..j {
+                let s = 0.5 * (a.get(i, j) + a.get(j, i));
+                a.set(i, j, s);
+                a.set(j, i, s);
+            }
+        }
+    }
+
+    /// The tiled pass equals the untiled walk bit for bit on square views
+    /// of every tile remainder, with `ld` equal to n and larger (736 at
+    /// ld 1024 is SBR's level-1 trailing block at n = 1024), and leaves
+    /// the rest of the parent matrix alone.
+    #[test]
+    fn tiled_symmetrize_matches_the_untiled_walk_bitwise() {
+        let mut s = 9u64;
+        let mut next = || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 33) as f32 / (1u64 << 31) as f32) - 1.0
+        };
+        for (n, ld) in [
+            (0, 4),
+            (1, 1),
+            (5, 5),
+            (31, 40),
+            (32, 32),
+            (33, 64),
+            (97, 97),
+            (130, 256),
+            (736, 1024),
+        ] {
+            let parent = Mat::<f32>::from_fn(ld, ld, |_, _| next());
+            let (r0, c0) = (ld - n, (ld - n) / 2);
+            let mut want = parent.clone();
+            symmetrize_view_untiled(want.view_mut(r0, c0, n, n));
+            let mut got = parent.clone();
+            symmetrize_view(got.view_mut(r0, c0, n, n));
+            let bits =
+                |m: &Mat<f32>| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
+            assert!(bits(&got) == bits(&want), "n = {n}, ld = {ld}");
+        }
     }
 
     #[test]

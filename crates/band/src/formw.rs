@@ -13,15 +13,21 @@
 //! doubles up the tree — 'squeezed' shapes again, which is why the paper
 //! measures the WY back-transformation at 320 ms vs 420 ms for ZY (§4.4).
 //!
-//! The merge runs in place. `W` and `Y` are allocated once as n×K, with
-//! `K` the sum of the level widths, and each level is copied into its own
+//! The merge runs in place. `W` and `Y` are allocated as n×K, with `K`
+//! the sum of the level widths, and each level is copied into its own
 //! column block. `Y` is then already the concatenation `[Y_a | Y_b]`, and
 //! each merge overwrites `W_b`'s column block with `W_b − W_a·(Y_aᵀ·W_b)`.
 //! The only other buffer is the merge's `ka×kb` product `t`, so the
 //! workspace is `2·n·K + max ka·kb` elements (on one worker; see
 //! `tcevd_perfmodel::formw_memory`).
+//!
+//! [`form_wy_owned`] takes the levels by value and drops each level's `W`
+//! once it is copied, before `Y` is allocated, and each level's `Y` once it
+//! is copied, so the levels and the n×K pair are never all alive at once.
+//! [`form_wy`] borrows them. Both run the same code and give the same bits.
 
 use crate::sbr_wy::LevelWy;
+use std::borrow::Borrow;
 use tcevd_matrix::{Mat, MatMut, MatRef, Op};
 use tcevd_tensorcore::GemmContext;
 use tcevd_trace::span;
@@ -31,37 +37,78 @@ use tcevd_trace::span;
 /// Infallible given a non-empty level list (asserted on entry).
 // tcevd-lint: allow(R4) — pure merge of already-validated factors; no failure mode to surface.
 pub fn form_wy(levels: &[LevelWy], n: usize, ctx: &GemmContext) -> (Mat<f32>, Mat<f32>) {
-    assert!(!levels.is_empty(), "need at least one WY level");
+    merge_levels(
+        n,
+        levels.iter().map(|l| (l.row_offset, &l.w)).collect(),
+        levels.iter().map(|l| (l.row_offset, &l.y)).collect(),
+        ctx,
+    )
+}
+
+/// [`form_wy`] on levels it owns, bit for bit: it drops each level's `W`
+/// once it is copied into the n×K `W`, then does the same for `Y`, so the
+/// merge tree runs with no level alive.
+// tcevd-lint: allow(R4) — pure merge of already-validated factors; no failure mode to surface.
+pub fn form_wy_owned(levels: Vec<LevelWy>, n: usize, ctx: &GemmContext) -> (Mat<f32>, Mat<f32>) {
+    let (ws, ys) = levels
+        .into_iter()
+        .map(|l| ((l.row_offset, l.w), (l.row_offset, l.y)))
+        .unzip();
+    merge_levels(n, ws, ys, ctx)
+}
+
+/// Stack the levels' `W` blocks into the n×K `W`, then their `Y` blocks
+/// into `Y`, then run the merge tree.
+fn merge_levels<M: Borrow<Mat<f32>>>(
+    n: usize,
+    ws: Vec<(usize, M)>,
+    ys: Vec<(usize, M)>,
+    ctx: &GemmContext,
+) -> (Mat<f32>, Mat<f32>) {
+    assert!(!ws.is_empty(), "need at least one WY level");
     let sink = ctx.sink();
-    let nlevels = levels.len();
+    let nlevels = ws.len();
     let _span = span!(sink, "formw", n, nlevels);
-    let k = levels.iter().map(|l| l.w.cols()).sum();
-    let mut w = Mat::<f32>::zeros(n, k);
-    let mut y = Mat::<f32>::zeros(n, k);
-    form_rec(levels, w.as_mut(), y.as_mut(), ctx);
+    let widths: Vec<usize> = ws.iter().map(|(_, w)| w.borrow().cols()).collect();
+    let mut w = stack(n, ws);
+    let y = stack(n, ys);
+    form_rec(&widths, w.as_mut(), y.as_ref(), ctx);
     (w, y)
 }
 
-/// Merge `levels` into the column blocks `w`, `y` they own: the halves on
-/// disjoint column ranges, then the halves into each other.
-fn form_rec(levels: &[LevelWy], w: MatMut<'_, f32>, y: MatMut<'_, f32>, ctx: &GemmContext) {
-    if let [l] = levels {
-        let (rows, k) = (l.w.rows(), l.w.cols());
-        w.into_view(l.row_offset, 0, rows, k)
-            .copy_from(l.w.as_ref());
-        y.into_view(l.row_offset, 0, rows, k)
-            .copy_from(l.y.as_ref());
+/// The n×K stack of `blocks`: each block at its row offset, in the next
+/// column block. An owned block is dropped as soon as it is copied.
+fn stack<M: Borrow<Mat<f32>>>(n: usize, blocks: Vec<(usize, M)>) -> Mat<f32> {
+    let k = blocks.iter().map(|(_, m)| m.borrow().cols()).sum();
+    let mut out = Mat::<f32>::zeros(n, k);
+    let mut c = 0;
+    for (row, m) in blocks {
+        let m = m.borrow();
+        out.view_mut(row, c, m.rows(), m.cols())
+            .copy_from(m.as_ref());
+        c += m.cols();
+    }
+    out
+}
+
+/// Merge the levels of `widths`, whose column blocks `w` and `y` hold:
+/// the halves on disjoint column ranges, then the halves into each other.
+fn form_rec(widths: &[usize], w: MatMut<'_, f32>, y: MatRef<'_, f32>, ctx: &GemmContext) {
+    if widths.len() <= 1 {
         return;
     }
-    let (lo, hi) = levels.split_at(levels.len() / 2);
-    let ka = lo.iter().map(|l| l.w.cols()).sum();
+    let (lo, hi) = widths.split_at(widths.len() / 2);
+    let ka = lo.iter().sum();
     let (mut wa, mut wb) = w.split_cols_at(ka);
-    let (mut ya, mut yb) = y.split_cols_at(ka);
-    rayon::join(
-        || form_rec(lo, wa.as_mut(), ya.as_mut(), ctx),
-        || form_rec(hi, wb.as_mut(), yb.as_mut(), ctx),
+    let (ya, yb) = (
+        y.view(0, 0, y.rows(), ka),
+        y.view(0, ka, y.rows(), y.cols() - ka),
     );
-    merge(wa.as_ref(), ya.as_ref(), wb, ctx);
+    rayon::join(
+        || form_rec(lo, wa.as_mut(), ya, ctx),
+        || form_rec(hi, wb.as_mut(), yb, ctx),
+    );
+    merge(wa.as_ref(), ya, wb, ctx);
 }
 
 /// `(I − W_a·Y_aᵀ)(I − W_b·Y_bᵀ) = I − [W_a | W_b − W_a(Y_aᵀW_b)]·[Y_a | Y_b]ᵀ`,

@@ -44,7 +44,7 @@ pub use bulge::{bulge_chase, bulge_chase_with, BulgeResult};
 pub use bulge_packed::{bulge_chase_packed, bulge_chase_packed_with};
 pub use common::max_outside_band;
 pub use error::BandError;
-pub use formw::{apply_q, form_wy};
+pub use formw::{apply_q, form_wy, form_wy_owned};
 pub use panel::{factor_panel, factor_panel_with, FactoredPanel, PanelKind};
 pub use sbr_wy::{sbr_blocked, sbr_wy, BlockEnd, LevelWy, WyOptions, WySbrResult};
 pub use storage::SymBand;

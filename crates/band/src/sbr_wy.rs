@@ -49,30 +49,44 @@
 //!
 //! # Workspace
 //!
-//! Each level copies its original trailing matrix `OA` (mp×mp, `mp = m − b`)
-//! and only the panel loop reads it; the block end takes `T1` from the
-//! cached `AW` and updates `a`'s trailing block in place, since the panel
-//! loop writes only the rows and columns above `processed` and leaves
-//! `OA_t` there. `OA` is dropped when the panel loop ends. The one-panel
-//! (ZY) setting makes no copy: its one panel writes only columns
-//! `off..off+b` and their mirror, so `wy_aw_append` reads `OA` straight
-//! from `a`'s trailing block. Later levels also hold the `(W, Y)` of the
-//! levels before them, but a smaller `OA`; at the sizes
-//! `tests/stage_workspace.rs` measures (b = 32, nb = 256) the peak is the
-//! first level's first panel, with these buffers alive:
+//! The loop holds only what the next step reads. Each level needs its
+//! original trailing matrix `OA` (mp×mp, `mp = m − b`), which only the
+//! panel loop reads; the block end takes `T1` from the cached `AW` and
+//! updates `a`'s trailing block in place, since the panel loop writes only
+//! the rows and columns above `processed` and leaves `OA_t` there. Where
+//! `OA` comes from depends on the level:
+//!
+//! * level 0 reads it from the caller's input, which the loop never
+//!   writes;
+//! * the one-panel (ZY) setting reads it from `a`'s trailing block, since
+//!   its one panel writes only columns `off..off+b` and their mirror;
+//! * every other level copies it, because the next-panel updates overwrite
+//!   `a`'s trailing block while the panel loop still reads `OA`. The copy
+//!   is dropped when the panel loop ends.
+//!
+//! The level's `(W, Y)` is recorded only when the caller asks for it (the
+//! FormW back-transformation reads it; the eigenvalues-only pipeline does
+//! not), and only after the block end, its last reader in the loop, so a
+//! full-width aggregate moves into the level instead of being copied. At
+//! the sizes `tests/stage_workspace.rs` measures (b = 32,
+//! nb = 256, n = 1024) the peak is at level 1's first panel, with these
+//! buffers alive:
 //!
 //! * the working copy of the input (n×n);
-//! * `OA` (mp×mp);
+//! * level 1's copy of `OA` (mp×mp);
 //! * the aggregates `W`, `Y` and `AW` (mp×kmax each, `kmax = min(nb, mp)`);
 //! * the panel temporaries: the factored panel's `W`, `Y` and reduced
 //!   panel, the panel's mirror, and the next-panel update's `X`, its
-//!   written rows and their mirror (seven mp×b blocks), plus `WX` (k×b).
+//!   written rows and their mirror (seven mp×b blocks), plus `WX` (k×b);
+//! * when levels are recorded, level 0's `(W, Y)`.
 //!
-//! That test holds the measured peak to this list.
+//! Level 0 holds the same list with its larger mp but without the `OA`
+//! copy, and peaks below level 1 at this size. That test holds the
+//! measured peak to this list.
 
 use crate::common::{accumulate_q_right, symmetrize_band, symmetrize_view};
 use crate::panel::{factor_panel_with, PanelKind};
-use tcevd_matrix::{Mat, Op};
+use tcevd_matrix::{Mat, MatMut, MatRef, Op};
 use tcevd_tensorcore::GemmContext;
 use tcevd_trace::span;
 
@@ -133,7 +147,8 @@ pub struct WySbrResult {
 }
 
 /// Reduce symmetric `a` to band form with the recursive WY algorithm
-/// (paper Algorithm 1): [`sbr_blocked`] with [`BlockEnd::ThreeGemm`].
+/// (paper Algorithm 1): [`sbr_blocked`] with [`BlockEnd::ThreeGemm`],
+/// recording every level's `(W, Y)`.
 ///
 /// Returns [`crate::BandError`] (rather than panicking) on a non-square
 /// input, a zero bandwidth, or non-finite entries.
@@ -155,13 +170,14 @@ pub fn sbr_wy(
     opts: &WyOptions,
     ctx: &GemmContext,
 ) -> Result<WySbrResult, crate::BandError> {
-    sbr_blocked(a, opts, BlockEnd::ThreeGemm, ctx)
+    sbr_blocked(a, opts, BlockEnd::ThreeGemm, true, ctx)
 }
 
 /// Reduce symmetric `a` to band form with the blocked SBR, writing each
-/// block's trailing update as `end` says. Both settings record each level's
-/// `(W, Y)` factors, so FormW serves either, ZY (`Syr2k` at `nb = b`)
-/// included.
+/// block's trailing update as `end` says. With `record_levels` set, each
+/// level's `(W, Y)` factors are kept in [`WySbrResult::levels`], so
+/// FormW serves either block end, ZY (`Syr2k` at `nb = b`) included;
+/// without it `levels` is empty and the band is the same, bit for bit.
 ///
 /// Returns [`crate::BandError`] (rather than panicking) on a non-square
 /// input, a zero bandwidth, or non-finite entries.
@@ -175,16 +191,18 @@ pub fn sbr_wy(
 /// let ctx = GemmContext::new(Engine::Sgemm);
 /// let r = sbr_blocked(&a, &WyOptions {
 ///     bandwidth: 8, block: 32, panel: PanelKind::Tsqr, accumulate_q: false,
-/// }, BlockEnd::Syr2k, &ctx).expect("finite square input");
+/// }, BlockEnd::Syr2k, false, &ctx).expect("finite square input");
 /// assert_eq!(max_outside_band(r.band.as_ref(), 8), 0.0);
+/// assert!(r.levels.is_empty());
 /// ```
 pub fn sbr_blocked(
     a: &Mat<f32>,
     opts: &WyOptions,
     end: BlockEnd,
+    record_levels: bool,
     ctx: &GemmContext,
 ) -> Result<WySbrResult, crate::BandError> {
-    let mut r = sbr_unfinished(a, opts, end, ctx)?;
+    let mut r = sbr_unfinished(a, opts, end, record_levels, ctx)?;
     symmetrize_band(&mut r.band, opts.bandwidth);
     Ok(r)
 }
@@ -196,6 +214,7 @@ fn sbr_unfinished(
     a: &Mat<f32>,
     opts: &WyOptions,
     end: BlockEnd,
+    record_levels: bool,
     ctx: &GemmContext,
 ) -> Result<WySbrResult, crate::BandError> {
     crate::error::check_sbr_input(a, opts.bandwidth)?;
@@ -211,6 +230,7 @@ fn sbr_unfinished(
     let sink = ctx.sink().clone();
     let _sbr_span = span!(sink, "sbr_wy", n, b, nb, end = format!("{end:?}"));
 
+    let input = a;
     let mut a = a.clone();
     let mut q = opts.accumulate_q.then(|| Mat::<f32>::identity(n, n));
     let mut levels = Vec::new();
@@ -226,11 +246,13 @@ fn sbr_unfinished(
         let mp = m - b; // rows below the first band block ("OA'" of the paper)
 
         // The original trailing matrix of this level (paper line 3:
-        // OA = oriA(b+1:n, b+1:n)). The one-panel setting copies nothing:
-        // its only reader is the level's one `wy_aw_append`, and the panel
-        // write-back touches only columns off..off+b and their mirror, so
-        // a's trailing block still holds OA there.
-        let oa = (!one_panel).then(|| a.submatrix(off + b, off + b, mp, mp));
+        // OA = oriA(b+1:n, b+1:n)). Level 0 reads it from the input, which
+        // the loop never writes. The one-panel setting reads a's trailing
+        // block: its only reader is the level's one `wy_aw_append`, and the
+        // panel write-back touches only columns off..off+b and their
+        // mirror. Every other level copies it before the next-panel
+        // updates overwrite a's trailing block.
+        let oa_copy = (off > 0 && !one_panel).then(|| a.submatrix(off + b, off + b, mp, mp));
 
         // Aggregated W, Y over this big block (mp × ≤nb), and the cached
         // product AW = OA·W, maintained incrementally: appending the new
@@ -300,14 +322,10 @@ fn sbr_unfinished(
                 }
                 // Extend the cached AW with the new aggregated columns:
                 // AW[:, k..k+kf] = OA·w_emb.
-                let oa_ref = match &oa {
-                    Some(oa) => oa.as_ref(),
-                    None => a.view(off + b, off + b, mp, mp),
-                };
                 ctx.gemm(
                     "wy_aw_append",
                     1.0,
-                    oa_ref,
+                    oa_view(&oa_copy, input, &a, off, b),
                     Op::NoTrans,
                     w_emb.as_ref(),
                     Op::NoTrans,
@@ -321,7 +339,7 @@ fn sbr_unfinished(
 
             // 3. Update only the NEXT panel's columns, from the original OA:
             //    GA = [(I − Y·Wᵀ)·OA·(I − W·Yᵀ)][:, c'] ,  c' = i..i+cw.
-            if let Some(oa) = &oa {
+            if !one_panel {
                 let cw = b.min(mp - i); // next-block width (clipped at the edge)
                 let _update_span = span!(sink, "block_update", i, k, cw);
                 let w_k = wacc.view(0, 0, mp, k);
@@ -329,7 +347,9 @@ fn sbr_unfinished(
                 let aw_k = aw.view(0, 0, mp, k);
 
                 // X = OA[:, c'] − AW·Y[c',:]ᵀ
-                let mut x = oa.submatrix(0, i, mp, cw);
+                let mut x = oa_view(&oa_copy, input, &a, off, b)
+                    .view(0, i, mp, cw)
+                    .to_owned();
                 ctx.gemm(
                     "wy_inner_x",
                     -1.0,
@@ -378,7 +398,7 @@ fn sbr_unfinished(
         }
         let processed = i;
         // Only the panel loop reads OA; the block end takes T1 from AW.
-        drop(oa);
+        drop(oa_copy);
 
         if let Some(q) = q.as_mut() {
             if k > 0 {
@@ -390,118 +410,163 @@ fn sbr_unfinished(
                 );
             }
         }
-        if k > 0 {
-            levels.push(LevelWy {
-                row_offset: off + b,
-                w: wacc.submatrix(0, 0, mp, k),
-                y: yacc.submatrix(0, 0, mp, k),
-            });
-        }
-
         // The next-panel updates already wrote the last level's trailing
         // block; the one-panel setting leaves it to the block end.
-        if processed + b >= m && !one_panel {
+        let last = processed + b >= m && !one_panel;
+        if !last {
+            // The next-panel updates wrote the columns before `processed`.
+            let start = if one_panel { 0 } else { processed };
+            block_end(
+                ctx,
+                end,
+                a.view_mut(off + b + start, off + b + start, mp - start, mp - start),
+                wacc.view(0, 0, mp, k),
+                yacc.view(start, 0, mp - start, k),
+                aw.view(0, 0, mp, k),
+            );
+        }
+        // Record after the block end, its last reader, so that a full-width
+        // aggregate moves into the level instead of being copied.
+        if k > 0 && record_levels {
+            levels.push(LevelWy {
+                row_offset: off + b,
+                w: leading_cols(wacc, k),
+                y: leading_cols(yacc, k),
+            });
+        }
+        if last {
             break;
         }
-
-        // 4. Big trailing update with the squeezed inner dimension k = nb:
-        //    M_t = [(I − Y·Wᵀ)·OA·(I − W·Yᵀ)][t', t'],  t' = start..mp,
-        //    where `start` skips the columns the next-panel updates wrote.
-        //    T1 = OA·W is the cached AW — no extra GEMM needed; everything
-        //    below runs with inner dimension k = nb, the near-square shapes
-        //    this algorithm exists for.
-        let start = if one_panel { 0 } else { processed };
-        let mt = mp - start;
-        let _trailing_span = span!(sink, "trailing_update", mt, k);
-        let w_k = wacc.view(0, 0, mp, k);
-        let y_t = yacc.view(start, 0, mt, k);
-        let t1 = aw.view(0, 0, mp, k);
-
-        // T2 = Wᵀ·T1 (k×k)
-        let mut t2 = Mat::<f32>::zeros(k, k);
-        ctx.gemm(
-            "wy_final_waw",
-            1.0,
-            w_k,
-            Op::Trans,
-            t1,
-            Op::NoTrans,
-            0.0,
-            t2.as_mut(),
-        );
-
-        // M_t ← OA_t − T1_t·Y_tᵀ − Y_t·T1_tᵀ + Y_t·T2·Y_tᵀ, in place: the
-        // panel loop writes only rows and columns above `start`, so a's
-        // trailing block still holds OA_t.
-        let mut t1t = t1.view(start, 0, mt, k).to_owned();
-        let tail = off + b + start;
-        let mut m_t = a.view_mut(tail, tail, mt, mt);
-        match end {
-            BlockEnd::ThreeGemm => {
-                ctx.gemm(
-                    "wy_final_u1",
-                    -1.0,
-                    t1t.as_ref(),
-                    Op::NoTrans,
-                    y_t,
-                    Op::Trans,
-                    1.0,
-                    m_t.as_mut(),
-                );
-                ctx.gemm(
-                    "wy_final_u2",
-                    -1.0,
-                    y_t,
-                    Op::NoTrans,
-                    t1t.as_ref(),
-                    Op::Trans,
-                    1.0,
-                    m_t.as_mut(),
-                );
-                let mut yt2 = Mat::<f32>::zeros(mt, k);
-                ctx.gemm(
-                    "wy_final_yt2",
-                    1.0,
-                    y_t,
-                    Op::NoTrans,
-                    t2.as_ref(),
-                    Op::NoTrans,
-                    0.0,
-                    yt2.as_mut(),
-                );
-                ctx.gemm(
-                    "wy_final_u3",
-                    1.0,
-                    yt2.as_ref(),
-                    Op::NoTrans,
-                    y_t,
-                    Op::Trans,
-                    1.0,
-                    m_t.as_mut(),
-                );
-            }
-            BlockEnd::Syr2k => {
-                // V_t = T1_t − ½·Y_t·T2, in place of the T1_t copy, then
-                // M_t ← OA_t − V_t·Y_tᵀ − Y_t·V_tᵀ as one syr2k.
-                ctx.gemm(
-                    "dbr_final_v",
-                    -0.5,
-                    y_t,
-                    Op::NoTrans,
-                    t2.as_ref(),
-                    Op::NoTrans,
-                    1.0,
-                    t1t.as_mut(),
-                );
-                ctx.syr2k_update("dbr_syr2k", y_t, t1t.as_ref(), m_t.as_mut());
-            }
-        }
-        symmetrize_view(m_t);
 
         off += processed;
     }
 
     Ok(WySbrResult { band: a, q, levels })
+}
+
+/// Step 4 of a level, the big trailing update with the squeezed inner
+/// dimension `k = nb`: `M_t ← [(I − Y·Wᵀ)·OA·(I − W·Yᵀ)][t', t']` on the
+/// trailing block `m_t`, which still holds `OA_t`, written as `end` says.
+/// `w_k` and `t1 = AW = OA·W` are the level's mp×k aggregates, and `y_t`
+/// holds the last `mt` rows of `Y`, those `m_t` covers. `T1` is the cached
+/// `AW`, so no extra GEMM is needed; everything runs with inner dimension
+/// `k = nb`, the near-square shapes this algorithm exists for.
+fn block_end(
+    ctx: &GemmContext,
+    end: BlockEnd,
+    mut m_t: MatMut<'_, f32>,
+    w_k: MatRef<'_, f32>,
+    y_t: MatRef<'_, f32>,
+    t1: MatRef<'_, f32>,
+) {
+    let (mt, k) = (y_t.rows(), y_t.cols());
+    let start = t1.rows() - mt;
+    let _trailing_span = span!(ctx.sink(), "trailing_update", mt, k);
+    // T2 = Wᵀ·T1 (k×k)
+    let mut t2 = Mat::<f32>::zeros(k, k);
+    ctx.gemm(
+        "wy_final_waw",
+        1.0,
+        w_k,
+        Op::Trans,
+        t1,
+        Op::NoTrans,
+        0.0,
+        t2.as_mut(),
+    );
+
+    // M_t ← OA_t − T1_t·Y_tᵀ − Y_t·T1_tᵀ + Y_t·T2·Y_tᵀ, in place: the
+    // panel loop writes only rows and columns above `start`, so a's
+    // trailing block still holds OA_t.
+    let mut t1t = t1.view(start, 0, mt, k).to_owned();
+    match end {
+        BlockEnd::ThreeGemm => {
+            ctx.gemm(
+                "wy_final_u1",
+                -1.0,
+                t1t.as_ref(),
+                Op::NoTrans,
+                y_t,
+                Op::Trans,
+                1.0,
+                m_t.as_mut(),
+            );
+            ctx.gemm(
+                "wy_final_u2",
+                -1.0,
+                y_t,
+                Op::NoTrans,
+                t1t.as_ref(),
+                Op::Trans,
+                1.0,
+                m_t.as_mut(),
+            );
+            let mut yt2 = Mat::<f32>::zeros(mt, k);
+            ctx.gemm(
+                "wy_final_yt2",
+                1.0,
+                y_t,
+                Op::NoTrans,
+                t2.as_ref(),
+                Op::NoTrans,
+                0.0,
+                yt2.as_mut(),
+            );
+            ctx.gemm(
+                "wy_final_u3",
+                1.0,
+                yt2.as_ref(),
+                Op::NoTrans,
+                y_t,
+                Op::Trans,
+                1.0,
+                m_t.as_mut(),
+            );
+        }
+        BlockEnd::Syr2k => {
+            // V_t = T1_t − ½·Y_t·T2, in place of the T1_t copy, then
+            // M_t ← OA_t − V_t·Y_tᵀ − Y_t·V_tᵀ as one syr2k.
+            ctx.gemm(
+                "dbr_final_v",
+                -0.5,
+                y_t,
+                Op::NoTrans,
+                t2.as_ref(),
+                Op::NoTrans,
+                1.0,
+                t1t.as_mut(),
+            );
+            ctx.syr2k_update("dbr_syr2k", y_t, t1t.as_ref(), m_t.as_mut());
+        }
+    }
+    symmetrize_view(m_t);
+}
+
+/// The first `k` columns of `m`: `m` itself when that is all of it.
+fn leading_cols(m: Mat<f32>, k: usize) -> Mat<f32> {
+    if m.cols() == k {
+        m
+    } else {
+        m.submatrix(0, 0, m.rows(), k)
+    }
+}
+
+/// The original trailing matrix `OA` of the level at offset `off`, the
+/// mp×mp block at `(off + b, off + b)`: the level's copy if it made one,
+/// else the input's block at level 0, else `a`'s trailing block.
+fn oa_view<'m>(
+    copy: &'m Option<Mat<f32>>,
+    input: &'m Mat<f32>,
+    a: &'m Mat<f32>,
+    off: usize,
+    b: usize,
+) -> MatRef<'m, f32> {
+    let mp = a.rows() - off - b;
+    match copy {
+        Some(c) => c.as_ref(),
+        None if off == 0 => input.view(b, b, mp, mp),
+        None => a.view(off + b, off + b, mp, mp),
+    }
 }
 
 #[cfg(test)]
@@ -552,7 +617,8 @@ mod tests {
 
     /// The band-only last pass equals the full-matrix `symmetrize` and
     /// `clip_to_band` it replaced, bit for bit, on each engine's SBR output
-    /// and in every setting; `sbr_blocked` returns exactly that band.
+    /// and in every setting; `sbr_blocked` returns exactly that band, with
+    /// the levels recorded or not.
     #[test]
     fn band_symmetrize_matches_the_full_pass_bitwise() {
         use crate::common::{clip_to_band, symmetrize};
@@ -560,14 +626,14 @@ mod tests {
             |m: &Mat<f32>| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
         // the pass is not a no-op on these inputs
         let mut changed = false;
-        for engine in [Engine::Sgemm, Engine::Tc, Engine::EcTc] {
+        for engine in [Engine::Sgemm, Engine::Tc, Engine::EcTc, Engine::Tf32] {
             let ctx = GemmContext::new(engine);
             for n in [3, 9, 97, 300] {
                 let b = 8.min(n - 1);
                 for (end, blocks) in SETTINGS {
                     let o = opts(b, b * blocks, false);
                     let a = test_matrix(n, n as u64);
-                    let raw = sbr_unfinished(&a, &o, end, &ctx).unwrap().band;
+                    let raw = sbr_unfinished(&a, &o, end, true, &ctx).unwrap().band;
                     let mut want = raw.clone();
                     symmetrize(&mut want);
                     clip_to_band(&mut want, b);
@@ -576,8 +642,11 @@ mod tests {
                     symmetrize_band(&mut got, b);
                     let tag = format!("{engine:?} n={n} {end:?} nb={}", b * blocks);
                     assert!(bits(&got) == bits(&want), "{tag}");
-                    let band = sbr_blocked(&a, &o, end, &ctx).unwrap().band;
+                    let band = sbr_blocked(&a, &o, end, true, &ctx).unwrap().band;
                     assert!(bits(&band) == bits(&want), "{tag}: sbr_blocked");
+                    let bare = sbr_blocked(&a, &o, end, false, &ctx).unwrap();
+                    assert!(bits(&bare.band) == bits(&want), "{tag}: without levels");
+                    assert!(bare.levels.is_empty(), "{tag}: recorded levels");
                 }
             }
         }
@@ -589,7 +658,8 @@ mod tests {
         let a = test_matrix(96, 1);
         let ctx = GemmContext::new(Engine::Sgemm);
         for (end, blocks) in SETTINGS {
-            let r = sbr_blocked(&a, &opts(8, 8 * blocks, false), end, &ctx).expect("sbr reduction");
+            let r = sbr_blocked(&a, &opts(8, 8 * blocks, false), end, true, &ctx)
+                .expect("sbr reduction");
             assert_eq!(
                 max_outside_band(r.band.as_ref(), 8),
                 0.0,
@@ -608,7 +678,8 @@ mod tests {
         let a = test_matrix(96, 2);
         let ctx = GemmContext::new(Engine::Sgemm);
         for (end, blocks) in SETTINGS {
-            let r = sbr_blocked(&a, &opts(8, 8 * blocks, true), end, &ctx).expect("sbr reduction");
+            let r = sbr_blocked(&a, &opts(8, 8 * blocks, true), end, true, &ctx)
+                .expect("sbr reduction");
             let q = r.q.as_ref().unwrap();
             assert!(
                 orthogonality_residual(q.as_ref()) / 96.0 < 1e-5,
@@ -624,7 +695,8 @@ mod tests {
         let a = test_matrix(96, 3);
         let ctx = GemmContext::new(Engine::Tc);
         for (end, blocks) in SETTINGS {
-            let r = sbr_blocked(&a, &opts(8, 8 * blocks, true), end, &ctx).expect("sbr reduction");
+            let r = sbr_blocked(&a, &opts(8, 8 * blocks, true), end, true, &ctx)
+                .expect("sbr reduction");
             let be = backward_error(&a, &r.band, r.q.as_ref().unwrap());
             assert!(be < 1e-4, "{end:?} nb={blocks}b: backward error {be}"); // TC machine-eps level
         }
@@ -637,7 +709,7 @@ mod tests {
         let a = test_matrix(64, 4);
         let ctx = GemmContext::new(Engine::Sgemm);
         let r_wy = sbr_wy(&a, &opts(8, 16, true), &ctx).expect("sbr reduction");
-        let r_zy = sbr_blocked(&a, &opts(8, 8, true), BlockEnd::Syr2k, &ctx).expect("zy");
+        let r_zy = sbr_blocked(&a, &opts(8, 8, true), BlockEnd::Syr2k, true, &ctx).expect("zy");
         assert!(backward_error(&a, &r_wy.band, r_wy.q.as_ref().unwrap()) < 1e-6);
         assert!(backward_error(&a, &r_zy.band, r_zy.q.as_ref().unwrap()) < 1e-6);
     }
@@ -649,7 +721,7 @@ mod tests {
         let ctx = GemmContext::new(Engine::Sgemm);
         let tr_a: f32 = (0..80).map(|i| a[(i, i)]).sum();
         for (end, blocks) in SETTINGS {
-            let r = sbr_blocked(&a, &opts(16, 16 * blocks, false), end, &ctx).expect("sbr");
+            let r = sbr_blocked(&a, &opts(16, 16 * blocks, false), end, true, &ctx).expect("sbr");
             let tr_b: f32 = (0..80).map(|i| r.band[(i, i)]).sum();
             assert!(
                 (tr_a - tr_b).abs() < 1e-3 * tr_a.abs().max(1.0),
@@ -670,7 +742,7 @@ mod tests {
                     panel,
                     ..opts(8, 8 * blocks, true)
                 };
-                let r = sbr_blocked(&a, &o, end, &ctx).expect("sbr reduction");
+                let r = sbr_blocked(&a, &o, end, true, &ctx).expect("sbr reduction");
                 let be = backward_error(&a, &r.band, r.q.as_ref().unwrap());
                 assert!(
                     be < 1e-6,
@@ -685,7 +757,8 @@ mod tests {
         let a = test_matrix(70, 6); // 70 = 8*8 + 6
         let ctx = GemmContext::new(Engine::Sgemm);
         for (end, blocks) in SETTINGS {
-            let r = sbr_blocked(&a, &opts(8, 8 * blocks, true), end, &ctx).expect("sbr reduction");
+            let r = sbr_blocked(&a, &opts(8, 8 * blocks, true), end, true, &ctx)
+                .expect("sbr reduction");
             assert_eq!(
                 max_outside_band(r.band.as_ref(), 8),
                 0.0,
@@ -701,7 +774,8 @@ mod tests {
         let a = test_matrix(24, 8);
         let ctx = GemmContext::new(Engine::Sgemm);
         for (end, blocks) in SETTINGS {
-            let r = sbr_blocked(&a, &opts(1, blocks, true), end, &ctx).expect("sbr reduction");
+            let r =
+                sbr_blocked(&a, &opts(1, blocks, true), end, true, &ctx).expect("sbr reduction");
             assert_eq!(
                 max_outside_band(r.band.as_ref(), 1),
                 0.0,
@@ -717,7 +791,7 @@ mod tests {
         let a = test_matrix(48, 5);
         let ctx = GemmContext::new(Engine::Sgemm);
         for end in ENDS {
-            let r = sbr_blocked(&a, &opts(8, 8, true), end, &ctx).expect("sbr reduction");
+            let r = sbr_blocked(&a, &opts(8, 8, true), end, true, &ctx).expect("sbr reduction");
             assert_eq!(max_outside_band(r.band.as_ref(), 8), 0.0, "{end:?}");
             assert!(
                 backward_error(&a, &r.band, r.q.as_ref().unwrap()) < 1e-6,
@@ -731,7 +805,7 @@ mod tests {
         let a = test_matrix(40, 6);
         let ctx = GemmContext::new(Engine::Sgemm);
         for end in ENDS {
-            let r = sbr_blocked(&a, &opts(8, 1024, true), end, &ctx).expect("sbr reduction");
+            let r = sbr_blocked(&a, &opts(8, 1024, true), end, true, &ctx).expect("sbr reduction");
             assert_eq!(max_outside_band(r.band.as_ref(), 8), 0.0, "{end:?}");
             assert!(
                 backward_error(&a, &r.band, r.q.as_ref().unwrap()) < 1e-6,
@@ -746,7 +820,8 @@ mod tests {
             for (n, b, nb) in [(67, 8, 16), (50, 4, 12), (33, 8, 32), (20, 16, 32)] {
                 let a = test_matrix(n, 7 + n as u64);
                 let ctx = GemmContext::new(Engine::Sgemm);
-                let r = sbr_blocked(&a, &opts(b, nb, true), end, &ctx).expect("sbr reduction");
+                let r =
+                    sbr_blocked(&a, &opts(b, nb, true), end, true, &ctx).expect("sbr reduction");
                 assert_eq!(
                     max_outside_band(r.band.as_ref(), b),
                     0.0,
@@ -792,7 +867,7 @@ mod tests {
         // dimension ≤ b, and no next-panel update is issued.
         let a = test_matrix(64, 7);
         let ctx = GemmContext::new(Engine::Tc).with_trace();
-        let _ = sbr_blocked(&a, &opts(8, 8, false), BlockEnd::Syr2k, &ctx).expect("zy");
+        let _ = sbr_blocked(&a, &opts(8, 8, false), BlockEnd::Syr2k, true, &ctx).expect("zy");
         let tr = ctx.take_trace();
         assert!(!tr.is_empty());
         for rec in tr.iter().filter(|r| r.label == "dbr_syr2k") {
@@ -810,7 +885,7 @@ mod tests {
         let ctx_wy = GemmContext::new(Engine::Tc).with_trace();
         let _ = sbr_wy(&a, &opts(8, 32, false), &ctx_wy).expect("sbr reduction");
         let ctx_zy = GemmContext::new(Engine::Tc).with_trace();
-        let _ = sbr_blocked(&a, &opts(8, 8, false), BlockEnd::Syr2k, &ctx_zy).expect("zy");
+        let _ = sbr_blocked(&a, &opts(8, 8, false), BlockEnd::Syr2k, true, &ctx_zy).expect("zy");
         let f_wy = ctx_wy.total_flops();
         let f_zy = ctx_zy.total_flops();
         assert!(f_wy > f_zy, "WY {f_wy} should exceed ZY {f_zy}");
@@ -821,7 +896,7 @@ mod tests {
         let a = test_matrix(96, 10);
         let ctx = GemmContext::new(Engine::Sgemm);
         for end in ENDS {
-            let r = sbr_blocked(&a, &opts(8, 16, false), end, &ctx).expect("sbr reduction");
+            let r = sbr_blocked(&a, &opts(8, 16, false), end, true, &ctx).expect("sbr reduction");
             let total_k: usize = r.levels.iter().map(|l| l.w.cols()).sum();
             // every column block except those inside the final band gets reflectors
             assert!(total_k >= 96 - 2 * 8, "{end:?}");
@@ -840,7 +915,7 @@ mod tests {
         // to the last bit.
         let a = test_matrix(40, 11);
         let ctx = GemmContext::new(Engine::Sgemm);
-        let r_dbr = sbr_blocked(&a, &opts(8, 64, false), BlockEnd::Syr2k, &ctx).expect("dbr");
+        let r_dbr = sbr_blocked(&a, &opts(8, 64, false), BlockEnd::Syr2k, true, &ctx).expect("dbr");
         let r_wy = sbr_wy(&a, &opts(8, 64, false), &ctx).expect("wy");
         assert_eq!(r_dbr.band.max_abs_diff(&r_wy.band), 0.0);
     }
@@ -852,7 +927,7 @@ mod tests {
         // band matrix up to f32 rounding.
         let a = test_matrix(96, 4);
         let ctx = GemmContext::new(Engine::Sgemm);
-        let r_dbr = sbr_blocked(&a, &opts(8, 16, true), BlockEnd::Syr2k, &ctx).expect("dbr");
+        let r_dbr = sbr_blocked(&a, &opts(8, 16, true), BlockEnd::Syr2k, true, &ctx).expect("dbr");
         let r_wy = sbr_wy(&a, &opts(8, 16, true), &ctx).expect("wy");
         assert!(backward_error(&a, &r_dbr.band, r_dbr.q.as_ref().unwrap()) < 1e-6);
         let d = r_dbr.band.max_abs_diff(&r_wy.band);
@@ -867,7 +942,7 @@ mod tests {
         // rectangular GEMMs.
         let a = test_matrix(128, 8);
         let ctx = GemmContext::new(Engine::Sgemm).with_trace();
-        let _ = sbr_blocked(&a, &opts(8, 32, false), BlockEnd::Syr2k, &ctx).expect("sbr");
+        let _ = sbr_blocked(&a, &opts(8, 32, false), BlockEnd::Syr2k, true, &ctx).expect("sbr");
         let tr = ctx.take_trace();
         let syr2k: Vec<_> = tr.iter().filter(|r| r.label == "dbr_syr2k").collect();
         assert!(!syr2k.is_empty());
@@ -890,7 +965,7 @@ mod tests {
         // of WY's four-GEMM expansion at the same (n, b, nb).
         let a = test_matrix(160, 9);
         let ctx_dbr = GemmContext::new(Engine::Sgemm).with_trace();
-        let _ = sbr_blocked(&a, &opts(8, 32, false), BlockEnd::Syr2k, &ctx_dbr).expect("dbr");
+        let _ = sbr_blocked(&a, &opts(8, 32, false), BlockEnd::Syr2k, true, &ctx_dbr).expect("dbr");
         let ctx_wy = GemmContext::new(Engine::Sgemm).with_trace();
         let _ = sbr_wy(&a, &opts(8, 32, false), &ctx_wy).expect("wy");
         let trailing = |tr: &[tcevd_tensorcore::GemmRecord], prefix: &str| -> u64 {

@@ -213,7 +213,7 @@ mod tests {
             panel: PanelKind::Tsqr,
             accumulate_q: false,
         };
-        let _ = sbr_blocked(&a, &opts, BlockEnd::Syr2k, &ctx).expect("sbr reduction");
+        let _ = sbr_blocked(&a, &opts, BlockEnd::Syr2k, true, &ctx).expect("sbr reduction");
         ctx.take_trace()
     }
 
@@ -307,6 +307,7 @@ mod tests {
                         accumulate_q: false,
                     },
                     end,
+                    true,
                     &ctx,
                 )
                 .expect("sbr reduction");
@@ -418,6 +419,7 @@ mod tests {
                     accumulate_q: false,
                 },
                 end,
+                true,
                 &ctx,
             )
             .expect("sbr reduction");

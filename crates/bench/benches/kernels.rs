@@ -129,6 +129,7 @@ fn bench_sbr(c: &mut Criterion) {
                             accumulate_q: false,
                         },
                         BlockEnd::Syr2k,
+                        true,
                         &ctx,
                     )
                     .expect("sbr reduction"),

@@ -526,6 +526,7 @@ pub fn dbr_bench(n: usize, seed: u64) -> String {
                 accumulate_q: false,
             },
             end,
+            true,
             &ctx,
         )
         .expect("blocked SBR on finite input");

@@ -196,6 +196,7 @@ mod tests {
             "../../BENCH_pr19.json",
             "../../BENCH_pr22.json",
             "../../BENCH_pr25.json",
+            "../../BENCH_pr26.json",
         ] {
             let text = std::fs::read_to_string(path).expect(path);
             validate_bench_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"));

@@ -17,13 +17,15 @@
 //! factors — multiplies `n×k` columns as readily as `n×n`. Each stage runs under one
 //! seam that opens its [`StageScope`] and then gates the boundary:
 //! sanitizer, finiteness, cancellation. Each buffer is dropped after its
-//! last reader: the dense band after the chase, `Q₂` and `Z` after the
-//! `Q₂·Z` product, the WY levels after FormW. FormW merges the levels only
-//! after that product, so its GEMMs belong to the `back_transform` stage.
-//! The stage kernels keep their own buffers lean without changing a bit:
-//! SBR drops each level's copy of the original trailing matrix once the
-//! panel loop ends and updates the trailing block in place, the chase's
-//! `Q₂` accumulation skips the rows of `Q₂` that are still zero, and FormW
+//! last reader: the dense band once it is packed for the chase, `Q₂` and
+//! `Z` after the `Q₂·Z` product, each WY level once FormW has copied it.
+//! FormW merges the levels only after that product, so its GEMMs belong to
+//! the `back_transform` stage. The stage kernels keep their own buffers
+//! lean without changing a bit: SBR reads level 0's original trailing
+//! matrix from the input, copies it only at later levels and drops the
+//! copy once the panel loop ends, records the levels only when vectors are
+//! wanted, and updates the trailing block in place; the chase's `Q₂`
+//! accumulation skips the rows of `Q₂` that are still zero; and FormW
 //! merges in place into one n×K `(W, Y)` pair.
 //!
 //! # Robustness
@@ -51,7 +53,10 @@ use crate::ql::{
     tridiag_eig_ql_budget_with, tridiag_eigenvalues_budget_with, EigError, DEFAULT_MAX_ITER,
 };
 use crate::tridiag::SymTridiag;
-use tcevd_band::{bulge_chase_with, form_wy, sbr_blocked, BlockEnd, LevelWy, PanelKind, WyOptions};
+use tcevd_band::{
+    bulge_chase_packed_with, form_wy_owned, sbr_blocked, BlockEnd, LevelWy, PanelKind, SymBand,
+    WyOptions,
+};
 use tcevd_matrix::{Mat, Op};
 use tcevd_prof::StageScope;
 use tcevd_tensorcore::GemmContext;
@@ -522,20 +527,23 @@ fn run_pipeline(
         |(band, _)| all_finite(band.as_slice()),
     )?;
 
-    // Stage 2 runs on packed band storage (O(n·b) working set); only the
-    // vector paths accumulate the dense Q₂.
+    // Stage 2 runs on packed band storage (O(n·b) working set): the n×n
+    // band is packed and dropped before the chase, which gives the same
+    // bits as the chase on the dense band. Only the vector paths
+    // accumulate the dense Q₂.
     let (t, q2) = stage(
         ctx,
         &sink,
         EvdStage::BulgeChase,
         false,
         || {
-            let chase = bulge_chase_with(&band, b, vectors, &sink);
+            let packed = SymBand::from_dense(&band, b);
+            drop(band);
+            let chase = bulge_chase_packed_with(&packed, vectors, &sink);
             Ok((SymTridiag::new(chase.diag, chase.offdiag), chase.q))
         },
         |(t, _)| all_finite(&t.d) && all_finite(&t.e),
     )?;
-    drop(band);
 
     let (values, z) = stage(
         ctx,
@@ -656,21 +664,20 @@ fn stage<T>(
 
 /// `X ← Q₁·X`, for `X` with any number of columns, where `Q₁` is stage 1's
 /// per-level WY factors: merge them in place into one n×K (W, Y) pair (paper
-/// Algorithm 2), drop them, then X ← (I − W·Yᵀ)·X — the FormW
-/// back-transformation (§4.4). No levels (values only, or `n ≤ b + 1` left
-/// SBR a no-op) means `Q₁ = I`.
+/// Algorithm 2), which drops each level once it is copied, then
+/// X ← (I − W·Yᵀ)·X — the FormW back-transformation (§4.4). No levels
+/// (values only, or `n ≤ b + 1` left SBR a no-op) means `Q₁ = I`.
 fn apply_q1(levels: Vec<LevelWy>, mut x: Mat<f32>, ctx: &GemmContext) -> Mat<f32> {
     if levels.is_empty() {
         return x;
     }
-    let (w, y) = form_wy(&levels, x.rows(), ctx);
-    drop(levels);
+    let (w, y) = form_wy_owned(levels, x.rows(), ctx);
     tcevd_band::apply_q(w.as_ref(), y.as_ref(), &mut x, ctx);
     x
 }
 
 /// Stage 1: successive band reduction, dispatched once over the SBR
-/// variants. `Q₁`'s levels are kept only when `vectors` is set.
+/// variants. `Q₁`'s levels are recorded only when `vectors` is set.
 fn reduce(
     a: &Mat<f32>,
     b: usize,
@@ -689,10 +696,9 @@ fn reduce(
         panel,
         accumulate_q: false,
     };
-    let r = sbr_blocked(a, &opts, end, ctx)?;
     // Both block ends emit the same per-level (W, Y), which FormW merges.
-    let levels = if vectors { r.levels } else { Vec::new() };
-    Ok((r.band, levels))
+    let r = sbr_blocked(a, &opts, end, vectors, ctx)?;
+    Ok((r.band, r.levels))
 }
 
 /// `opts.trace` routes pipeline stage spans and counters into the
@@ -933,6 +939,74 @@ mod tests {
         assert!(orthogonality(x.as_ref()) < 1e-5);
         let res = eigenpair_residual(a.as_ref(), &r.values, x.as_ref());
         assert!(res < 1e-4, "residual {res}");
+    }
+
+    /// The pipeline packs SBR's band and drops it before the chase, records
+    /// `Q₁`'s levels only with vectors and hands them to FormW by value.
+    /// Composed by hand from the chase on the dense band and the borrowed
+    /// FormW, the stages give the same bits, values and vectors, for every
+    /// block end and at 1 and 4 threads.
+    #[test]
+    fn packed_chase_matches_the_dense_composition_bitwise() {
+        use tcevd_band::{apply_q, bulge_chase_with, form_wy};
+        let bits = |x: &[f32]| -> Vec<u32> { x.iter().map(|v| v.to_bits()).collect() };
+        let (n, b) = (150, 8);
+        let a: Mat<f32> = generate(n, MatrixType::Normal, 58).cast();
+        let off = TraceSink::disabled();
+        for engine in [Engine::Sgemm, Engine::Tc] {
+            let ctx = GemmContext::new(engine);
+            for (sbr, end, nb) in [
+                (SbrVariant::Wy { block: 32 }, BlockEnd::ThreeGemm, 32),
+                (SbrVariant::Dbr { block: 32 }, BlockEnd::Syr2k, 32),
+                (SbrVariant::Dbr { block: 8 }, BlockEnd::Syr2k, 8),
+            ] {
+                for threads in [1, 4] {
+                    let tag = format!("{engine:?} {sbr:?} threads={threads}");
+                    let o = SymEigOptions {
+                        sbr,
+                        threads,
+                        ..opts(b, nb)
+                    };
+                    let values = sym_eigenvalues(&a, &o, &ctx).unwrap();
+                    let full = sym_eig(&a, &SymEigOptions { vectors: true, ..o }, &ctx).unwrap();
+
+                    let wy = WyOptions {
+                        bandwidth: b,
+                        block: nb,
+                        panel: PanelKind::Tsqr,
+                        accumulate_q: false,
+                    };
+                    let r = sbr_blocked(&a, &wy, end, true, &ctx).unwrap();
+                    let chase = bulge_chase_with(&r.band, b, false, &off);
+                    let t = SymTridiag::new(chase.diag, chase.offdiag);
+                    let want = tridiag_dc_with(&t, DcRows::Ends, &off).unwrap().0;
+                    assert!(bits(&values) == bits(&want), "{tag}: values only");
+
+                    let chase = bulge_chase_with(&r.band, b, true, &off);
+                    let t = SymTridiag::new(chase.diag, chase.offdiag);
+                    let (want, z) = tridiag_dc_with(&t, DcRows::All, &off).unwrap();
+                    let mut x = Mat::<f32>::zeros(n, n);
+                    let q2 = chase.q.unwrap();
+                    let (q2, z) = (q2.as_ref(), z.as_ref());
+                    ctx.gemm(
+                        "evd_q2z",
+                        1.0,
+                        q2,
+                        Op::NoTrans,
+                        z,
+                        Op::NoTrans,
+                        0.0,
+                        x.as_mut(),
+                    );
+                    let (w, y) = form_wy(&r.levels, n, &ctx);
+                    apply_q(w.as_ref(), y.as_ref(), &mut x, &ctx);
+                    assert!(bits(&full.values) == bits(&want), "{tag}: values");
+                    let got = full.vectors.unwrap();
+                    assert!(bits(got.as_slice()) == bits(x.as_slice()), "{tag}: vectors");
+                }
+            }
+        }
+        rayon::configure(0);
     }
 
     #[test]

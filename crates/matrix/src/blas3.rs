@@ -151,6 +151,39 @@ pub fn gemm_with<T: Scalar>(
     c: MatMut<'_, T>,
     transform: &impl Fn(T) -> T,
 ) {
+    gemm_packed(alpha, a, op_a, b, op_b, beta, c, transform, true);
+}
+
+/// [`gemm`] on the calling thread alone, with the same bits. For callers
+/// that issue many small GEMMs in sequence, where a fork per call costs
+/// more than it saves: the bulge chase's compact-WY groups.
+pub fn gemm_serial<T: Scalar>(
+    alpha: T,
+    a: MatRef<'_, T>,
+    op_a: Op,
+    b: MatRef<'_, T>,
+    op_b: Op,
+    beta: T,
+    c: MatMut<'_, T>,
+) {
+    gemm_packed(alpha, a, op_a, b, op_b, beta, c, &|x| x, false);
+}
+
+/// The packed GEMM behind [`gemm_with`] and [`gemm_serial`]; it fans the
+/// column chunks out across the pool when `fork` is set and the product
+/// clears the parallel flop threshold.
+#[allow(clippy::too_many_arguments)]
+fn gemm_packed<T: Scalar>(
+    alpha: T,
+    a: MatRef<'_, T>,
+    op_a: Op,
+    b: MatRef<'_, T>,
+    op_b: Op,
+    beta: T,
+    c: MatMut<'_, T>,
+    transform: &impl Fn(T) -> T,
+    fork: bool,
+) {
     let (m, ka) = op_dims(&a, op_a);
     let (kb, n) = op_dims(&b, op_b);
     assert_eq!(ka, kb, "gemm inner dimension mismatch");
@@ -158,7 +191,7 @@ pub fn gemm_with<T: Scalar>(
     assert_eq!(c.cols(), n, "gemm C col mismatch");
     let k = ka;
 
-    let parallel = parallel_worthwhile(m, n, k);
+    let parallel = fork && parallel_worthwhile(m, n, k);
     if alpha == T::ZERO || k == 0 {
         // no product term: only the beta scaling applies
         for_col_chunks(c, NC, parallel, &|_, mut cc| scale_cols(beta, &mut cc));
@@ -1456,6 +1489,41 @@ mod tests {
             bits1, bits4,
             "recursive syr2k must be bit-identical at 1 vs 4 workers"
         );
+    }
+
+    /// `gemm_serial` gives `gemm`'s bits on a shape whose 4-worker `gemm`
+    /// forks, with and without `beta`.
+    #[test]
+    fn serial_gemm_matches_the_forking_gemm_bitwise() {
+        let (a, b) = (rand_mat32(300, 64, 310), rand_mat32(64, 200, 311));
+        let c0 = rand_mat32(300, 200, 312);
+        rayon::configure(4);
+        for beta in [0.0f32, 1.0] {
+            let mut forked = c0.clone();
+            gemm(
+                -1.0,
+                a.as_ref(),
+                Op::NoTrans,
+                b.as_ref(),
+                Op::NoTrans,
+                beta,
+                forked.as_mut(),
+            );
+            let mut serial = c0.clone();
+            gemm_serial(
+                -1.0,
+                a.as_ref(),
+                Op::NoTrans,
+                b.as_ref(),
+                Op::NoTrans,
+                beta,
+                serial.as_mut(),
+            );
+            let bits =
+                |m: &Mat<f32>| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
+            assert!(bits(&forked) == bits(&serial), "beta = {beta}");
+        }
+        rayon::configure(0);
     }
 
     #[test]

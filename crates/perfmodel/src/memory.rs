@@ -41,7 +41,13 @@ pub fn zy_memory(n: usize, b: usize) -> MemoryFootprint {
     }
 }
 
-/// Footprint of the WY-based SBR (paper Algorithm 1).
+/// Footprint of the WY-based SBR as the paper's Algorithm 1 lays it out,
+/// with an `OA` copy at every level, the first included. This is the
+/// paper-scale model: `baselines/paper_model_outputs.txt` pins the
+/// `reproduce` outputs it feeds, so it stays as it is. The implementation
+/// (`tcevd_band::sbr_blocked`) reads level 0's `OA` from its input and
+/// copies only at later levels, so at n = 1024 it measures below this
+/// model; `tests/stage_workspace.rs` holds it to its own buffer list.
 pub fn wy_memory(n: usize, b: usize, nb: usize) -> MemoryFootprint {
     let n = n as u64;
     let b = b as u64;

@@ -53,7 +53,8 @@ fn real_and_model_traces_agree_across_configs() {
         assert_eq!(real, model, "WY n={n} b={b} nb={nb}");
 
         let ctx = GemmContext::new(Engine::Tc).with_trace();
-        let _ = sbr_blocked(&a, &zy_options(b), BlockEnd::Syr2k, &ctx).expect("sbr reduction");
+        let _ =
+            sbr_blocked(&a, &zy_options(b), BlockEnd::Syr2k, true, &ctx).expect("sbr reduction");
         let real: Vec<_> = ctx
             .take_trace()
             .iter()
@@ -78,7 +79,8 @@ fn real_and_model_engine_fields_agree() {
     let a: Mat<f32> = generate(n, MatrixType::Normal, 9).cast();
     for engine in [Engine::Sgemm, Engine::Tc, Engine::EcTc] {
         let ctx = GemmContext::new(engine).with_trace();
-        let _ = sbr_blocked(&a, &zy_options(b), BlockEnd::Syr2k, &ctx).expect("sbr reduction");
+        let _ =
+            sbr_blocked(&a, &zy_options(b), BlockEnd::Syr2k, true, &ctx).expect("sbr reduction");
         assert_eq!(
             ctx.take_trace(),
             blocked_trace_on(n, b, b, BlockEnd::Syr2k, engine).gemms,
