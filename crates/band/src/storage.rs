@@ -133,16 +133,6 @@ impl<T: Scalar> SymBand<T> {
         y
     }
 
-    /// Diagonal and sub-diagonal (valid once `b == 1`).
-    pub fn tridiagonal_parts(&self) -> (Vec<T>, Vec<T>) {
-        assert_eq!(self.b, 1, "matrix is not tridiagonal");
-        let d = (0..self.n).map(|j| self.ab[j * 2]).collect();
-        let e = (0..self.n.saturating_sub(1))
-            .map(|j| self.ab[1 + j * 2])
-            .collect();
-        (d, e)
-    }
-
     /// Frobenius norm (counting both triangles).
     pub fn frobenius(&self) -> T {
         let mut s = T::ZERO;
@@ -162,6 +152,16 @@ impl<T: Scalar> SymBand<T> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    /// Diagonal and sub-diagonal of a band with `b == 1`.
+    fn tridiagonal_parts(s: &SymBand<f64>) -> (Vec<f64>, Vec<f64>) {
+        assert_eq!(s.b, 1, "matrix is not tridiagonal");
+        let d = (0..s.n).map(|j| s.ab[j * 2]).collect();
+        let e = (0..s.n.saturating_sub(1))
+            .map(|j| s.ab[1 + j * 2])
+            .collect();
+        (d, e)
+    }
 
     fn sample(n: usize, b: usize) -> Mat<f64> {
         let mut a = Mat::<f64>::zeros(n, n);
@@ -239,7 +239,7 @@ mod tests {
     fn tridiagonal_extraction() {
         let a = sample(6, 1);
         let s = SymBand::from_dense(&a, 1);
-        let (d, e) = s.tridiagonal_parts();
+        let (d, e) = tridiagonal_parts(&s);
         for i in 0..6 {
             assert_eq!(d[i], a[(i, i)]);
         }

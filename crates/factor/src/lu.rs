@@ -188,36 +188,35 @@ pub fn lu_partial_pivot<T: Scalar>(a: &mut Mat<T>) -> Result<Vec<usize>, LuError
     Ok(piv)
 }
 
-/// Reassemble `L·U` from a packed (non-pivoted) factorization — test helper
-/// and invariant checker.
-pub fn lu_reconstruct<T: Scalar>(packed: &Mat<T>) -> Mat<T> {
-    let m = packed.rows();
-    let n = packed.cols();
-    let k = m.min(n);
-    let mut out = Mat::<T>::zeros(m, n);
-    for j in 0..n {
-        for i in 0..m {
-            let mut s = T::ZERO;
-            let lim = i.min(j + 1).min(k);
-            for l in 0..lim {
-                let lv = packed[(i, l)]; // L(i,l), i > l
-                let uv = packed[(l, j)];
-                s += lv * uv;
-            }
-            // diagonal of L is 1
-            if i <= j && i < k {
-                s += packed[(i, j)];
-            }
-            out[(i, j)] = s;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    /// Reassemble `L·U` from a packed (non-pivoted) factorization.
+    fn lu_reconstruct<T: Scalar>(packed: &Mat<T>) -> Mat<T> {
+        let m = packed.rows();
+        let n = packed.cols();
+        let k = m.min(n);
+        let mut out = Mat::<T>::zeros(m, n);
+        for j in 0..n {
+            for i in 0..m {
+                let mut s = T::ZERO;
+                let lim = i.min(j + 1).min(k);
+                for l in 0..lim {
+                    let lv = packed[(i, l)]; // L(i,l), i > l
+                    let uv = packed[(l, j)];
+                    s += lv * uv;
+                }
+                // diagonal of L is 1
+                if i <= j && i < k {
+                    s += packed[(i, j)];
+                }
+                out[(i, j)] = s;
+            }
+        }
+        out
+    }
 
     fn rand_mat(m: usize, n: usize, seed: u64) -> Mat<f64> {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(7);

@@ -19,9 +19,6 @@
 //! - **R4** public functions in pipeline modules return `Result`.
 //! - **R5** every crate root carries `#![forbid(unsafe_code)]` and the
 //!   `unsafe` keyword never appears.
-//! - **R6** every `GEMM_LABELS` entry has a flop-cost entry in the
-//!   `GEMM_COSTS` registry (`crates/prof/src/costs.rs`), and no cost entry
-//!   is dead (names a label the table no longer carries).
 //! - **R7** the R3 hygiene bar extended to the service layer
 //!   (`crates/serve/`): the scheduler holds other jobs' work, so its
 //!   non-test code must never `unwrap`, `panic!`, or `[...]`-index.
@@ -146,46 +143,6 @@ pub fn parse_registry(src: &str) -> Registry {
     reg
 }
 
-/// Path of the flop-cost registry source, relative to the workspace root.
-pub const COSTS_PATH: &str = "crates/prof/src/costs.rs";
-
-/// Parse the `GEMM_COSTS` array from cost-registry source text.
-///
-/// Token-level, like [`parse_registry`], but the entries are `GemmCost`
-/// struct literals, so every string literal anywhere inside the array
-/// initializer counts (labels are the only strings a cost entry carries).
-pub fn parse_costs(src: &str) -> Registry {
-    let lx = lexer::lex(src, false);
-    let toks = &lx.tokens;
-    let mut reg = Registry {
-        path: COSTS_PATH.to_string(),
-        labels: Vec::new(),
-    };
-    let Some(start) = toks.iter().position(|t| t.is_ident("GEMM_COSTS")) else {
-        return reg;
-    };
-    let Some(eq) = toks[start..].iter().position(|t| t.is_punct('=')) else {
-        return reg;
-    };
-    let Some(open) = toks[start + eq..].iter().position(|t| t.is_punct('[')) else {
-        return reg;
-    };
-    let mut depth = 0usize;
-    for t in &toks[start + eq + open..] {
-        if t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if t.kind == Kind::Str && depth >= 1 {
-            reg.labels.push((t.text.clone(), t.line));
-        }
-    }
-    reg
-}
-
 /// True when a workspace-relative path holds code that is test-only in its
 /// entirety (integration tests, benches, examples): R1's literal-label and
 /// R3's hygiene requirements do not apply there.
@@ -197,8 +154,8 @@ pub fn is_test_path(path: &str) -> bool {
 /// Analyze a set of in-memory files together: all file-local rules, the
 /// cross-file call-graph rules (R8–R11), then central waiver filtering
 /// with dead-waiver detection (W1). `used` collects the GEMM labels the
-/// files consume (for the registry dead-entry check, which — like R6 —
-/// stays with [`lint_workspace`]).
+/// files consume (for the registry dead-entry check, which stays with
+/// [`lint_workspace`]).
 pub fn analyze_files(
     files: &[(String, String)],
     reg: &Registry,
@@ -348,7 +305,7 @@ fn relative(root: &Path, p: &Path) -> Option<String> {
 /// one of the given prefixes (workspace-relative, forward slashes). The
 /// whole workspace is still loaded — the call graph must be global for
 /// R8/R9 — but only filtered files' findings are reported, and the
-/// registry-global checks (R1c dead labels, R6 cost coverage) are
+/// registry-global checks (R1c dead labels, R13 stale file lists) are
 /// skipped, since a partial view cannot prove a label unused.
 pub fn lint_workspace_filtered(root: &Path, filters: &[String]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -377,8 +334,6 @@ pub fn lint_workspace_filtered(root: &Path, filters: &[String]) -> Vec<Diagnosti
         let rules_src = include_str!("rules.rs");
         rules::r13_stale_file_lists(rules::FILE_LISTS, &paths, rules_src, &mut diags);
         rules::r1_unused_entries(&reg, &used, &mut diags);
-        let costs_src = std::fs::read_to_string(root.join(COSTS_PATH)).unwrap_or_default();
-        rules::r6_cost_registry(&reg, &parse_costs(&costs_src), &mut diags);
     } else {
         diags.retain(|d| filters.iter().any(|f| d.file.starts_with(f.as_str())));
     }
@@ -414,24 +369,6 @@ pub fn is_registered(l: &str) -> bool { GEMM_LABELS.contains(&l) }
                 ("zy_aw".to_string(), 4)
             ]
         );
-    }
-
-    #[test]
-    fn cost_registry_parses_struct_literal_entries() {
-        let src = r#"
-pub const GEMM_COSTS: &[GemmCost] = &[
-    GemmCost { label: "zy_aw", accumulates: false },
-    GemmCost { label: "zy_syr2k", accumulates: true },
-];
-pub fn cost(label: &str) -> Option<&'static GemmCost> { None }
-"#;
-        let costs = parse_costs(src);
-        assert_eq!(costs.path, COSTS_PATH);
-        assert_eq!(
-            costs.labels,
-            vec![("zy_aw".to_string(), 3), ("zy_syr2k".to_string(), 4)]
-        );
-        assert!(parse_costs("pub fn nothing() {}").labels.is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! are workspace-relative path prefixes (e.g. `crates/serve`) that
 //! restrict which files' findings are reported — the call graph is still
 //! built from the whole workspace, so transitive rules stay sound, but
-//! the registry-global dead-label/cost checks are skipped.
+//! the registry-global dead-label check is skipped.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

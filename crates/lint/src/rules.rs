@@ -12,7 +12,6 @@
 //! | R3 | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` and no `[` indexing in hot paths |
 //! | R4 | public pipeline functions return `Result` |
 //! | R5 | every crate forbids `unsafe_code` (and none uses `unsafe`) |
-//! | R6 | every GEMM label has a flop-cost registry entry; no cost entry is dead |
 //! | R7 | the R3 hygiene bar extended to the service layer (`crates/serve/`) |
 //! | R8 | no panic-family call transitively reachable from a hot path (call-graph walk with path trace) |
 //! | R9 | every loop transitively doing GEMM-scale work reaches a `CancelToken` check within one iteration |
@@ -214,47 +213,6 @@ pub fn r1_unused_entries(
                 *line,
                 "R1",
                 format!("registry entry {label:?} is used by no GEMM call site"),
-            );
-        }
-    }
-}
-
-/// R6: the flop-cost registry (`GEMM_COSTS` in `crates/prof/src/costs.rs`)
-/// must cover every `GEMM_LABELS` entry, and carry no dead entries. Run
-/// once per workspace with both parsed registries.
-pub fn r6_cost_registry(reg: &Registry, costs: &Registry, out: &mut Vec<Diagnostic>) {
-    if costs.labels.is_empty() {
-        diag(
-            out,
-            &costs.path,
-            1,
-            "R6",
-            "GEMM flop-cost registry (GEMM_COSTS) is missing or empty".to_string(),
-        );
-        return;
-    }
-    for (label, line) in &reg.labels {
-        if !costs.labels.iter().any(|(l, _)| l == label) {
-            diag(
-                out,
-                &reg.path,
-                *line,
-                "R6",
-                format!(
-                    "GEMM label {label:?} has no flop-cost entry in {}",
-                    costs.path
-                ),
-            );
-        }
-    }
-    for (label, line) in &costs.labels {
-        if !reg.labels.iter().any(|(l, _)| l == label) {
-            diag(
-                out,
-                &costs.path,
-                *line,
-                "R6",
-                format!("dead cost entry {label:?}: no such entry in GEMM_LABELS"),
             );
         }
     }

@@ -178,47 +178,6 @@ fn w1_dead_waiver_fixture_matches_golden() {
     assert_golden("w1");
 }
 
-/// R6 is a workspace-level cross-registry rule, so its fixture runs through
-/// `parse_costs` + `r6_cost_registry` directly rather than `lint_source`.
-#[test]
-fn r6_cost_registry_fixture_matches_golden() {
-    let dir = fixtures_dir();
-    let src = std::fs::read_to_string(dir.join("r6.rs"))
-        .unwrap_or_else(|e| panic!("fixture r6.rs unreadable: {e}"));
-    let costs = tcevd_lint::parse_costs(&src);
-    let mut out = Vec::new();
-    rules::r6_cost_registry(&fixture_registry(), &costs, &mut out);
-    out.sort();
-    let got: Vec<String> = out.iter().map(|d| d.to_string()).collect();
-    let expected: Vec<String> = std::fs::read_to_string(dir.join("r6.expected"))
-        .unwrap_or_else(|e| panic!("golden r6.expected unreadable: {e}"))
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(str::to_string)
-        .collect();
-    assert_eq!(
-        got,
-        expected,
-        "fixture r6: diagnostics diverge from r6.expected\n\
-         got:\n  {}\nexpected:\n  {}",
-        got.join("\n  "),
-        expected.join("\n  ")
-    );
-}
-
-#[test]
-fn r6_missing_cost_registry_is_one_finding() {
-    let mut out = Vec::new();
-    rules::r6_cost_registry(&fixture_registry(), &tcevd_lint::parse_costs(""), &mut out);
-    assert_eq!(out.len(), 1, "{out:?}");
-    assert_eq!(out[0].rule, "R6");
-    assert!(
-        out[0].message.contains("missing or empty"),
-        "{}",
-        out[0].message
-    );
-}
-
 #[test]
 fn unused_registry_entries_are_flagged() {
     let reg = parse_registry(

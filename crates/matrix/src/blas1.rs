@@ -100,27 +100,6 @@ pub fn nrm2<T: Scalar>(x: &[T]) -> T {
     scale * ssq.sqrt()
 }
 
-/// Index of the entry with largest absolute value; 0 for empty input.
-pub fn iamax<T: Scalar>(x: &[T]) -> usize {
-    let mut best = 0;
-    let mut bv = T::ZERO;
-    for (i, &v) in x.iter().enumerate() {
-        if v.abs() > bv {
-            bv = v.abs();
-            best = i;
-        }
-    }
-    best
-}
-
-/// `x ← x`, `y ← y` swapped.
-pub fn swap<T: Scalar>(x: &mut [T], y: &mut [T]) {
-    assert_eq!(x.len(), y.len());
-    for i in 0..x.len() {
-        std::mem::swap(&mut x[i], &mut y[i]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,20 +172,5 @@ mod tests {
         let n = nrm2(&x);
         assert!(n > 0.0);
         assert!((n / (1e-30 * 2.0f32.sqrt()) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn iamax_picks_largest_abs() {
-        assert_eq!(iamax(&[1.0f32, -5.0, 3.0]), 1);
-        assert_eq!(iamax::<f32>(&[]), 0);
-    }
-
-    #[test]
-    fn swap_exchanges() {
-        let mut a = vec![1.0f64, 2.0];
-        let mut b = vec![3.0, 4.0];
-        swap(&mut a, &mut b);
-        assert_eq!(a, vec![3.0, 4.0]);
-        assert_eq!(b, vec![1.0, 2.0]);
     }
 }

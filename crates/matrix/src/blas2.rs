@@ -59,15 +59,6 @@ pub fn gemv<T: Scalar>(alpha: T, a: MatRef<'_, T>, op: Op, x: &[T], beta: T, y: 
     }
 }
 
-/// Rank-1 update `A ← A + alpha·x·yᵀ`.
-pub fn ger<T: Scalar>(alpha: T, x: &[T], y: &[T], mut a: MatMut<'_, T>) {
-    assert_eq!(x.len(), a.rows());
-    assert_eq!(y.len(), a.cols());
-    for j in 0..a.cols() {
-        axpy(alpha * y[j], x, a.col_mut(j));
-    }
-}
-
 /// Symmetric matrix–vector product `y ← alpha·A·x + beta·y` reading only the
 /// lower triangle of `A` (LAPACK `symv`, uplo = 'L').
 pub fn symv_lower<T: Scalar>(alpha: T, a: MatRef<'_, T>, x: &[T], beta: T, y: &mut [T]) {
@@ -177,16 +168,6 @@ mod tests {
         let mut y = vec![0.0; 3];
         gemv(1.0, a.as_ref(), Op::Trans, &[1.0, 1.0], 0.0, &mut y);
         assert_eq!(y, vec![5.0, 7.0, 9.0]);
-    }
-
-    #[test]
-    fn ger_rank1() {
-        let mut a = Mat::<f32>::zeros(2, 2);
-        ger(1.0, &[1.0, 2.0], &[3.0, 4.0], a.as_mut());
-        assert_eq!(a[(0, 0)], 3.0);
-        assert_eq!(a[(1, 0)], 6.0);
-        assert_eq!(a[(0, 1)], 4.0);
-        assert_eq!(a[(1, 1)], 8.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Matrix–matrix (BLAS-3) kernels: a BLIS-style packed, cache-blocked GEMM
-//! plus the symmetric-rank-k and triangular routines the factorizations
-//! need.
+//! plus the symmetric rank-2k update and the triangular solve the
+//! factorizations need.
 //!
 //! [`gemm`] follows the standard three-level BLIS decomposition: `op(A)` is
 //! packed into row-major MR-strips and `op(B)` into column-major NR-strips
@@ -353,97 +353,11 @@ pub fn matmul<T: Scalar>(a: MatRef<'_, T>, op_a: Op, b: MatRef<'_, T>, op_b: Op)
     c
 }
 
-/// Column-block width for routing the symmetric-rank updates through the
+/// Column-block width for routing the symmetric rank-2k update through the
 /// packed GEMM: the strictly-sub-diagonal row panel of each column block
 /// is a plain GEMM (the bulk of the flops), while the triangular diagonal
 /// block keeps the short per-column kernels.
 const SYRK_NB: usize = 64;
-
-/// Symmetric rank-k update, lower triangle only:
-/// `C ← alpha·A·Aᵀ + beta·C` (op = NoTrans, A is n×k) or
-/// `C ← alpha·Aᵀ·A + beta·C` (op = Trans, A is k×n).
-pub fn syrk_lower<T: Scalar>(alpha: T, a: MatRef<'_, T>, op: Op, beta: T, mut c: MatMut<'_, T>) {
-    let n = c.rows();
-    assert_eq!(c.cols(), n);
-    let (rows, k) = op_dims(&a, op);
-    assert_eq!(rows, n);
-    for (j0, jb) in pack::blocks(n, SYRK_NB) {
-        // triangular diagonal block: short columns, scalar kernels
-        let a_diag = match op {
-            Op::NoTrans => a.view(j0, 0, jb, k),
-            Op::Trans => a.view(0, j0, k, jb),
-        };
-        syrk_lower_unblocked(alpha, a_diag, op, beta, c.view_mut(j0, j0, jb, jb));
-        // everything below the diagonal block is a dense rectangular
-        // product — route it through the packed GEMM
-        let r0 = j0 + jb;
-        if r0 < n {
-            let cb = c.view_mut(r0, j0, n - r0, jb);
-            match op {
-                Op::NoTrans => gemm(
-                    alpha,
-                    a.view(r0, 0, n - r0, k),
-                    Op::NoTrans,
-                    a.view(j0, 0, jb, k),
-                    Op::Trans,
-                    beta,
-                    cb,
-                ),
-                Op::Trans => gemm(
-                    alpha,
-                    a.view(0, r0, k, n - r0),
-                    Op::Trans,
-                    a.view(0, j0, k, jb),
-                    Op::NoTrans,
-                    beta,
-                    cb,
-                ),
-            }
-        }
-    }
-}
-
-/// Per-column rank-k kernel used for the triangular diagonal blocks of
-/// [`syrk_lower`] (the pre-packing formulation, unchanged).
-fn syrk_lower_unblocked<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    op: Op,
-    beta: T,
-    mut c: MatMut<'_, T>,
-) {
-    let n = c.rows();
-    let k = match op {
-        Op::NoTrans => a.cols(),
-        Op::Trans => a.rows(),
-    };
-    for j in 0..n {
-        // scale the lower part of column j (beta = 0 overwrites, even NaN)
-        if beta == T::ZERO {
-            c.col_mut(j)[j..].fill(T::ZERO);
-        } else if beta != T::ONE {
-            for v in &mut c.col_mut(j)[j..] {
-                *v *= beta;
-            }
-        }
-        match op {
-            Op::NoTrans => {
-                for l in 0..k {
-                    let w = alpha * a.get(j, l);
-                    if w != T::ZERO {
-                        axpy(w, &a.col(l)[j..n], &mut c.col_mut(j)[j..n]);
-                    }
-                }
-            }
-            Op::Trans => {
-                let acj = a.col(j);
-                for i in j..n {
-                    *c.at_mut(i, j) += alpha * dot(a.col(i), acj);
-                }
-            }
-        }
-    }
-}
 
 /// Minimum half-size worth splitting off recursively: below this the
 /// blocked base case's GEMM strips are already small enough that another
@@ -704,295 +618,6 @@ pub fn trsm<T: Scalar>(
                         for v in b.col_mut(j) {
                             *v /= d;
                         }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Diagonal-block size for the blocked [`trmm`]; systems up to this order
-/// take the scalar unblocked path directly.
-const TRMM_NB: usize = 32;
-
-/// Triangular matrix multiply in place:
-/// * `Side::Left`:  `B ← alpha·op(A)·B`
-/// * `Side::Right`: `B ← alpha·B·op(A)`
-///
-/// `A` triangular (`lower` names the stored triangle), optional implicit
-/// unit diagonal.
-///
-/// Blocked formulation: the strictly-off-diagonal part of each
-/// `TRMM_NB`-wide block row/column of `op(A)` is a dense rectangular
-/// product routed through the packed [`gemm`]; only the small triangular
-/// diagonal tiles run scalar loops.
-pub fn trmm<T: Scalar>(
-    side: Side,
-    alpha: T,
-    a: MatRef<'_, T>,
-    op: Op,
-    lower: bool,
-    unit: bool,
-    mut b: MatMut<'_, T>,
-) {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "triangular matrix must be square");
-    if n <= TRMM_NB {
-        trmm_unblocked(side, alpha, a, op, lower, unit, b);
-        return;
-    }
-    let eff_lower = lower ^ (op == Op::Trans);
-    match side {
-        Side::Left => {
-            assert_eq!(b.rows(), n);
-            // B ← alpha·M·B mixes rows of B, which column-major views
-            // cannot split disjointly — so per column chunk, snapshot the
-            // original chunk and rebuild it row block by row block from
-            // the snapshot: bulk through the packed GEMM, the triangular
-            // diagonal tile with scalar loops.
-            let ncols = b.cols();
-            for (c0, ncb) in pack::blocks(ncols, NC) {
-                let src = b.as_ref().view(0, c0, n, ncb).to_owned();
-                for (i0, ib) in pack::blocks(n, TRMM_NB) {
-                    let mut dst = b.view_mut(i0, c0, ib, ncb);
-                    if eff_lower && i0 > 0 {
-                        // strict block row left of the diagonal tile
-                        let (ma, mop) = match op {
-                            Op::NoTrans => (a.view(i0, 0, ib, i0), Op::NoTrans),
-                            Op::Trans => (a.view(0, i0, i0, ib), Op::Trans),
-                        };
-                        gemm(
-                            alpha,
-                            ma,
-                            mop,
-                            src.view(0, 0, i0, ncb),
-                            Op::NoTrans,
-                            T::ZERO,
-                            dst.as_mut(),
-                        );
-                    } else if !eff_lower && i0 + ib < n {
-                        // strict block row right of the diagonal tile
-                        let r0 = i0 + ib;
-                        let (ma, mop) = match op {
-                            Op::NoTrans => (a.view(i0, r0, ib, n - r0), Op::NoTrans),
-                            Op::Trans => (a.view(r0, i0, n - r0, ib), Op::Trans),
-                        };
-                        gemm(
-                            alpha,
-                            ma,
-                            mop,
-                            src.view(r0, 0, n - r0, ncb),
-                            Op::NoTrans,
-                            T::ZERO,
-                            dst.as_mut(),
-                        );
-                    } else {
-                        dst.fill(T::ZERO);
-                    }
-                    trmm_left_diag_acc(alpha, &a, op, lower, unit, i0, ib, &src, &mut dst);
-                }
-            }
-        }
-        Side::Right => {
-            assert_eq!(b.cols(), n);
-            let m = b.rows();
-            if eff_lower {
-                // output column block j needs B columns ≥ j → ascending
-                // order keeps every source column still original
-                for (j0, jb) in pack::blocks(n, TRMM_NB) {
-                    trmm_unblocked(
-                        Side::Right,
-                        alpha,
-                        a.view(j0, j0, jb, jb),
-                        op,
-                        lower,
-                        unit,
-                        b.view_mut(0, j0, m, jb),
-                    );
-                    let r0 = j0 + jb;
-                    if r0 < n {
-                        let (ma, mop) = match op {
-                            Op::NoTrans => (a.view(r0, j0, n - r0, jb), Op::NoTrans),
-                            Op::Trans => (a.view(j0, r0, jb, n - r0), Op::Trans),
-                        };
-                        let (left, right) = b.as_mut().split_cols_at(r0);
-                        let rsrc = right.as_ref();
-                        let dst = left.into_view(0, j0, m, jb);
-                        gemm(alpha, rsrc, Op::NoTrans, ma, mop, T::ONE, dst);
-                    }
-                }
-            } else {
-                // output column block j needs B columns ≤ j → descending
-                let blocks: Vec<(usize, usize)> = pack::blocks(n, TRMM_NB).collect();
-                for &(j0, jb) in blocks.iter().rev() {
-                    trmm_unblocked(
-                        Side::Right,
-                        alpha,
-                        a.view(j0, j0, jb, jb),
-                        op,
-                        lower,
-                        unit,
-                        b.view_mut(0, j0, m, jb),
-                    );
-                    if j0 > 0 {
-                        let (ma, mop) = match op {
-                            Op::NoTrans => (a.view(0, j0, j0, jb), Op::NoTrans),
-                            Op::Trans => (a.view(j0, 0, jb, j0), Op::Trans),
-                        };
-                        let (left, right) = b.as_mut().split_cols_at(j0);
-                        let lsrc = left.as_ref();
-                        let dst = right.into_view(0, 0, m, jb);
-                        gemm(alpha, lsrc, Op::NoTrans, ma, mop, T::ONE, dst);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `dst += alpha · tri(op(A)[i0.., i0..]) · src[i0.., :]` for one
-/// triangular diagonal tile of the blocked left [`trmm`] — scalar loops
-/// over an `ib`×`ib` triangle, `ib ≤ TRMM_NB`.
-#[allow(clippy::too_many_arguments)]
-fn trmm_left_diag_acc<T: Scalar>(
-    alpha: T,
-    a: &MatRef<'_, T>,
-    op: Op,
-    lower: bool,
-    unit: bool,
-    i0: usize,
-    ib: usize,
-    src: &Mat<T>,
-    dst: &mut MatMut<'_, T>,
-) {
-    let at = |i: usize, j: usize| -> T {
-        let (r, c) = match op {
-            Op::NoTrans => (i, j),
-            Op::Trans => (j, i),
-        };
-        let stored = if lower { r >= c } else { r <= c };
-        if r == c {
-            if unit {
-                T::ONE
-            } else {
-                a.get(r, c)
-            }
-        } else if stored {
-            a.get(r, c)
-        } else {
-            T::ZERO
-        }
-    };
-    let eff_lower = lower ^ (op == Op::Trans);
-    for j in 0..dst.cols() {
-        let sc = src.col(j);
-        for i in 0..ib {
-            let mut s = T::ZERO;
-            let (lo, hi) = if eff_lower { (0, i + 1) } else { (i, ib) };
-            for kk in lo..hi {
-                s += at(i0 + i, i0 + kk) * sc[i0 + kk];
-            }
-            *dst.at_mut(i, j) += alpha * s;
-        }
-    }
-}
-
-/// The original scalar trmm, used for systems up to `TRMM_NB` and for the
-/// triangular diagonal tiles of the blocked path.
-fn trmm_unblocked<T: Scalar>(
-    side: Side,
-    alpha: T,
-    a: MatRef<'_, T>,
-    op: Op,
-    lower: bool,
-    unit: bool,
-    mut b: MatMut<'_, T>,
-) {
-    let n = a.rows();
-    let at = |i: usize, j: usize| -> T {
-        let (r, c) = match op {
-            Op::NoTrans => (i, j),
-            Op::Trans => (j, i),
-        };
-        let stored = if lower { r >= c } else { r <= c };
-        if r == c {
-            if unit {
-                T::ONE
-            } else {
-                a.get(r, c)
-            }
-        } else if stored {
-            a.get(r, c)
-        } else {
-            T::ZERO
-        }
-    };
-    let eff_lower = lower ^ (op == Op::Trans);
-    match side {
-        Side::Left => {
-            assert_eq!(b.rows(), n);
-            for j in 0..b.cols() {
-                let col = b.col_mut(j);
-                if eff_lower {
-                    // row i depends on rows ≤ i → compute top-down in reverse
-                    for i in (0..n).rev() {
-                        let mut s = T::ZERO;
-                        for k in 0..=i {
-                            s += at(i, k) * col[k];
-                        }
-                        col[i] = alpha * s;
-                    }
-                } else {
-                    for i in 0..n {
-                        let mut s = T::ZERO;
-                        for k in i..n {
-                            s += at(i, k) * col[k];
-                        }
-                        col[i] = alpha * s;
-                    }
-                }
-            }
-        }
-        Side::Right => {
-            assert_eq!(b.cols(), n);
-            let m = b.rows();
-            if eff_lower {
-                // column j of B·M depends only on B columns ≥ j, so compute
-                // each output column into scratch left-to-right (clarity
-                // over cleverness; trmm is not on a hot path)
-                let mut scratch = vec![T::ZERO; m];
-                for j in 0..n {
-                    for x in scratch.iter_mut() {
-                        *x = T::ZERO;
-                    }
-                    for k in j..n {
-                        let w = at(k, j);
-                        if w != T::ZERO {
-                            for i in 0..m {
-                                scratch[i] += b.get(i, k) * w;
-                            }
-                        }
-                    }
-                    for i in 0..m {
-                        b.set(i, j, alpha * scratch[i]);
-                    }
-                }
-            } else {
-                let mut scratch = vec![T::ZERO; m];
-                for j in (0..n).rev() {
-                    for x in scratch.iter_mut() {
-                        *x = T::ZERO;
-                    }
-                    for k in 0..=j {
-                        let w = at(k, j);
-                        if w != T::ZERO {
-                            for i in 0..m {
-                                scratch[i] += b.get(i, k) * w;
-                            }
-                        }
-                    }
-                    for i in 0..m {
-                        b.set(i, j, alpha * scratch[i]);
                     }
                 }
             }
@@ -1375,34 +1000,10 @@ mod tests {
     }
 
     #[test]
-    fn blocked_syrk_and_syr2k_cross_the_block_boundary() {
+    fn blocked_syr2k_crosses_the_block_boundary() {
         // n = 150 > SYRK_NB = 64 → diagonal tiles + packed sub-diagonal panels
         let n = 150;
         let k = 20;
-        for op in [Op::NoTrans, Op::Trans] {
-            let a = match op {
-                Op::NoTrans => rand_mat(n, k, 100),
-                Op::Trans => rand_mat(k, n, 100),
-            };
-            let mut c = rand_mat(n, n, 101);
-            let c0 = c.clone();
-            syrk_lower(1.7, a.as_ref(), op, 0.3, c.as_mut());
-            let full = match op {
-                Op::NoTrans => matmul(a.as_ref(), Op::NoTrans, a.as_ref(), Op::Trans),
-                Op::Trans => matmul(a.as_ref(), Op::Trans, a.as_ref(), Op::NoTrans),
-            };
-            for j in 0..n {
-                for i in 0..n {
-                    if i >= j {
-                        let want = 1.7 * full[(i, j)] + 0.3 * c0[(i, j)];
-                        assert!((c[(i, j)] - want).abs() < 1e-11, "{op:?} ({i},{j})");
-                    } else {
-                        // strict upper triangle untouched
-                        assert_eq!(c[(i, j)], c0[(i, j)], "{op:?} ({i},{j})");
-                    }
-                }
-            }
-        }
         let a = rand_mat(n, k, 102);
         let b = rand_mat(n, k, 103);
         let mut c = rand_mat(n, n, 104);
@@ -1524,118 +1125,6 @@ mod tests {
             assert!(bits(&forked) == bits(&serial), "beta = {beta}");
         }
         rayon::configure(0);
-    }
-
-    #[test]
-    fn blocked_trmm_matches_dense_above_the_block_size() {
-        // n = 75 > TRMM_NB = 32 → exercises the blocked left/right paths
-        let n = 75;
-        let mut l = rand_mat(n, n, 110);
-        for j in 0..n {
-            for i in 0..j {
-                l[(i, j)] = 0.0;
-            }
-        }
-        let dense = |op: Op, unit: bool| -> Mat<f64> {
-            Mat::from_fn(n, n, |i, j| {
-                let (r, c) = match op {
-                    Op::NoTrans => (i, j),
-                    Op::Trans => (j, i),
-                };
-                if r == c {
-                    if unit {
-                        1.0
-                    } else {
-                        l[(r, c)]
-                    }
-                } else if r > c {
-                    l[(r, c)]
-                } else {
-                    0.0
-                }
-            })
-        };
-        let b = rand_mat(n, 40, 111);
-        let bt = rand_mat(40, n, 112);
-        for op in [Op::NoTrans, Op::Trans] {
-            for unit in [false, true] {
-                let m_eff = dense(op, unit);
-                let mut got = b.clone();
-                trmm(Side::Left, 1.5, l.as_ref(), op, true, unit, got.as_mut());
-                let mut want = matmul(m_eff.as_ref(), Op::NoTrans, b.as_ref(), Op::NoTrans);
-                for v in want.as_mut_slice() {
-                    *v *= 1.5;
-                }
-                assert!(
-                    got.max_abs_diff(&want) < 1e-10,
-                    "blocked left {op:?} unit={unit}"
-                );
-                let mut got = bt.clone();
-                trmm(Side::Right, 2.0, l.as_ref(), op, true, unit, got.as_mut());
-                let mut want = matmul(bt.as_ref(), Op::NoTrans, m_eff.as_ref(), Op::NoTrans);
-                for v in want.as_mut_slice() {
-                    *v *= 2.0;
-                }
-                assert!(
-                    got.max_abs_diff(&want) < 1e-10,
-                    "blocked right {op:?} unit={unit}"
-                );
-            }
-        }
-        // upper-triangle storage through the blocked path too
-        let mut u = rand_mat(n, n, 113);
-        for j in 0..n {
-            for i in j + 1..n {
-                u[(i, j)] = 0.0;
-            }
-        }
-        for op in [Op::NoTrans, Op::Trans] {
-            let m_eff = Mat::from_fn(n, n, |i, j| {
-                let (r, c) = match op {
-                    Op::NoTrans => (i, j),
-                    Op::Trans => (j, i),
-                };
-                if r <= c {
-                    u[(r, c)]
-                } else {
-                    0.0
-                }
-            });
-            let mut got = b.clone();
-            trmm(Side::Left, 1.0, u.as_ref(), op, false, false, got.as_mut());
-            let want = matmul(m_eff.as_ref(), Op::NoTrans, b.as_ref(), Op::NoTrans);
-            assert!(got.max_abs_diff(&want) < 1e-10, "blocked upper left {op:?}");
-            let mut got = bt.clone();
-            trmm(Side::Right, 1.0, u.as_ref(), op, false, false, got.as_mut());
-            let want = matmul(bt.as_ref(), Op::NoTrans, m_eff.as_ref(), Op::NoTrans);
-            assert!(
-                got.max_abs_diff(&want) < 1e-10,
-                "blocked upper right {op:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn syrk_matches_gemm() {
-        let a = rand_mat(6, 4, 30);
-        let mut c = Mat::zeros(6, 6);
-        syrk_lower(2.0, a.as_ref(), Op::NoTrans, 0.0, c.as_mut());
-        let full = matmul(a.as_ref(), Op::NoTrans, a.as_ref(), Op::Trans);
-        for j in 0..6 {
-            for i in j..6 {
-                assert!((c[(i, j)] - 2.0 * full[(i, j)]).abs() < 1e-13);
-            }
-        }
-        // syrk trans
-        let at = rand_mat(4, 6, 31);
-        let mut c2 = Mat::zeros(6, 6);
-        syrk_lower(1.0, at.as_ref(), Op::Trans, 0.0, c2.as_mut());
-        let full2 = matmul(at.as_ref(), Op::Trans, at.as_ref(), Op::NoTrans);
-        for j in 0..6 {
-            for i in j..6 {
-                assert!((c2[(i, j)] - full2[(i, j)]).abs() < 1e-13);
-            }
-        }
     }
 
     #[test]
@@ -1764,90 +1253,6 @@ mod tests {
             x.as_mut(),
         );
         assert!(x.max_abs_diff(&x_true) < 1e-12);
-    }
-
-    #[test]
-    fn trmm_all_variants_match_dense() {
-        let n = 5;
-        let mut l = rand_mat(n, n, 80);
-        for j in 0..n {
-            for i in 0..j {
-                l[(i, j)] = 0.0;
-            }
-        }
-        // dense versions for reference
-        let dense = |op: Op, unit: bool| -> Mat<f64> {
-            Mat::from_fn(n, n, |i, j| {
-                let (r, c) = match op {
-                    Op::NoTrans => (i, j),
-                    Op::Trans => (j, i),
-                };
-                if r == c {
-                    if unit {
-                        1.0
-                    } else {
-                        l[(r, c)]
-                    }
-                } else if r > c {
-                    l[(r, c)]
-                } else {
-                    0.0
-                }
-            })
-        };
-        let b = rand_mat(n, 4, 81);
-        let bt = rand_mat(4, n, 82);
-        for op in [Op::NoTrans, Op::Trans] {
-            for unit in [false, true] {
-                let m_eff = dense(op, unit);
-                // left
-                let mut got = b.clone();
-                trmm(Side::Left, 1.5, l.as_ref(), op, true, unit, got.as_mut());
-                let want = {
-                    let mut w = matmul(m_eff.as_ref(), Op::NoTrans, b.as_ref(), Op::NoTrans);
-                    for v in w.as_mut_slice() {
-                        *v *= 1.5;
-                    }
-                    w
-                };
-                assert!(got.max_abs_diff(&want) < 1e-12, "left {op:?} unit={unit}");
-                // right
-                let mut got = bt.clone();
-                trmm(Side::Right, 2.0, l.as_ref(), op, true, unit, got.as_mut());
-                let want = {
-                    let mut w = matmul(bt.as_ref(), Op::NoTrans, m_eff.as_ref(), Op::NoTrans);
-                    for v in w.as_mut_slice() {
-                        *v *= 2.0;
-                    }
-                    w
-                };
-                assert!(got.max_abs_diff(&want) < 1e-12, "right {op:?} unit={unit}");
-            }
-        }
-    }
-
-    #[test]
-    fn trmm_upper_triangle() {
-        let n = 4;
-        let mut u = rand_mat(n, n, 83);
-        for j in 0..n {
-            for i in j + 1..n {
-                u[(i, j)] = 0.0;
-            }
-        }
-        let b = rand_mat(n, 3, 84);
-        let mut got = b.clone();
-        trmm(
-            Side::Left,
-            1.0,
-            u.as_ref(),
-            Op::NoTrans,
-            false,
-            false,
-            got.as_mut(),
-        );
-        let want = matmul(u.as_ref(), Op::NoTrans, b.as_ref(), Op::NoTrans);
-        assert!(got.max_abs_diff(&want) < 1e-13);
     }
 
     #[test]

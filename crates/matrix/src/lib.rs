@@ -25,7 +25,6 @@
 pub mod blas1;
 pub mod blas2;
 pub mod blas3;
-pub mod elementwise;
 pub mod f16;
 pub mod mat;
 pub mod mem;
@@ -44,9 +43,8 @@ pub use scalar::Scalar;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::blas1::{axpy, dot, nrm2, scal};
-    pub use crate::blas2::{gemv, ger, symv_lower, Op};
-    pub use crate::blas3::{gemm, gemm_with, matmul, syr2k_lower, syrk_lower, trmm, trsm, Side};
-    pub use crate::elementwise::{axpby_mat, scale_mat};
+    pub use crate::blas2::{gemv, symv_lower, Op};
+    pub use crate::blas3::{gemm, gemm_with, matmul, syr2k_lower, trsm, Side};
     pub use crate::mat::{Mat, MatMut, MatRef};
     pub use crate::norms::{frobenius, max_abs, orthogonality_residual};
     pub use crate::scalar::Scalar;

@@ -4,14 +4,12 @@
 //!
 //! The measurement substrate for every performance claim the repo makes:
 //!
-//! * **static cost registry** ([`mod@costs`]) — flop/byte formulas for
-//!   every `GEMM_LABELS` entry plus the panel/TSQR and bulge-chase kernels,
-//!   mirroring the runtime counters `GemmContext` tallies (lint rule R6
-//!   enforces coverage);
 //! * **stage scopes** ([`StageScope`]) — RAII seams the pipeline wraps
 //!   around SBR / bulge chase / tridiagonal solve / back-transform,
 //!   attributing flops, bytes, GEMM calls, wall time and the matrix
-//!   allocation high watermark to each stage via `stage.*` counters;
+//!   allocation high watermark to each stage via `stage.*` counters (flops
+//!   and bytes are the ones `GemmContext::note_gemm` tallies, each call's
+//!   bytes under its own `beta`);
 //! * **derived reports** ([`mod@report`]) — per-label and per-stage
 //!   achieved-GFLOPS, a roofline summary against the Table-1 peaks, and
 //!   the model-residual join of measured rates vs `tcevd-perfmodel`'s A100
@@ -23,13 +21,8 @@
 //! `stage.*.bytes`, `stage.*.calls`, `stage.*.peak_bytes`,
 //! `mem.peak_bytes` — is bit-identical at any worker-pool size.
 
-pub mod costs;
 pub mod report;
 
-pub use costs::{
-    bulge_flops, cost, gemm_bytes, gemm_flops, intensity, is_registered, panel_flops, record_bytes,
-    GemmCost, GEMM_COSTS,
-};
 pub use report::{
     class_residual, label_reports, model_residual, roofline, roofline_text, stage_reports,
     stage_table_text, LabelReport, ResidualReport, Roofline, StageReport,

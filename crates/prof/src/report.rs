@@ -13,8 +13,6 @@ use tcevd_perfmodel::A100Model;
 use tcevd_tensorcore::{Engine, GemmRecord};
 use tcevd_trace::TraceSink;
 
-use crate::costs::intensity;
-
 /// Measured totals of one GEMM label.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LabelReport {
@@ -51,6 +49,15 @@ fn gflops_of(flops: u64, time_ns: u64) -> f64 {
         0.0
     } else {
         flops as f64 / time_ns as f64 // flop/ns == Gflop/s
+    }
+}
+
+/// Arithmetic intensity (flop/byte) of a flop/byte pair; 0 when no bytes.
+fn intensity(flops: u64, bytes: u64) -> f64 {
+    if bytes == 0 {
+        0.0
+    } else {
+        flops as f64 / bytes as f64
     }
 }
 
@@ -321,15 +328,24 @@ mod tests {
         assert_eq!(rows[0].label, "evd_q2z");
         assert_eq!(rows[0].calls, 1);
         assert_eq!(rows[0].flops, 2 * 40 * 16 * 24);
-        assert_eq!(rows[0].bytes, crate::costs::gemm_bytes(40, 16, 24, false));
+        // A (40×24) + B (24×16) + C (40×16) f32 words; accumulating
+        // (beta ≠ 0) reads the prior C too
+        let (a, b, c) = (40 * 24, 24 * 16, 40 * 16);
+        assert_eq!(rows[0].bytes, 4 * (a + b + c));
         assert_eq!(rows[1].label, "wy_inner_x");
-        assert_eq!(rows[1].bytes, crate::costs::gemm_bytes(40, 16, 24, true));
+        assert_eq!(rows[1].bytes, 4 * (a + b + 2 * c));
         assert!(
             rows[1].intensity < rows[0].intensity,
             "accumulation lowers intensity"
         );
         // wall time was measured, so achieved GFLOPS is positive
         assert!(rows[0].time_ns > 0 && rows[0].gflops > 0.0);
+    }
+
+    #[test]
+    fn intensity_is_zero_without_bytes() {
+        assert_eq!(intensity(480, 496), 480.0 / 496.0);
+        assert_eq!(intensity(5, 0), 0.0);
     }
 
     #[test]
@@ -399,7 +415,7 @@ mod tests {
         assert_eq!(s.stage, "sbr");
         assert_eq!(s.flops, 2 * 8 * 8 * 8);
         assert_eq!(s.calls, 1);
-        assert_eq!(s.bytes, crate::costs::gemm_bytes(8, 8, 8, false));
+        assert_eq!(s.bytes, 4 * 3 * 8 * 8);
         assert!(
             s.peak_bytes >= 2 * 8 * 8 * 4,
             "stage allocated two 8×8 f32 mats"
